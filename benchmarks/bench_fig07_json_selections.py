@@ -33,8 +33,8 @@ def report(report_sink):
 def test_fig07_shape(benchmark, report):
     assert_no_mismatches(report)
     proteus_faster_than(report, experiments.DBMS_X)
-    # See EXPERIMENTS.md: the margin over the binary-document engines is
-    # compressed in this reproduction because every predicate column is
+    # The margin over the binary-document engines is compressed in this
+    # reproduction (see the printed report) because every predicate column is
     # re-extracted from the raw JSON per query (caching is off here).
     proteus_faster_than(report, experiments.POSTGRES, experiments.MONGO, margin=0.5)
     # The character-encoded row store pays per predicate: 4 predicates cost it

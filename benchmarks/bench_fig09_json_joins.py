@@ -40,7 +40,7 @@ def test_fig09_shape(benchmark, report):
     assert mongo_join > proteus_join
     # The unnest over denormalized JSON does not leave Proteus behind the row
     # stores by more than its fixed per-query cost (at full scale Proteus wins
-    # outright; see EXPERIMENTS.md).
+    # outright).
     assert report.seconds(experiments.PROTEUS, "unnest_count_50") < \
         report.seconds(experiments.POSTGRES, "unnest_count_50") + 0.005
 

@@ -65,7 +65,7 @@ def make_engine(path: str, **kwargs):
     # The vectorized tier exercises the per-batch stage wrappers; caching is
     # off so every execution re-scans (the overhead we are measuring).
     engine = ProteusEngine(
-        enable_caching=False, enable_codegen=False, enable_parallel=False,
+        enable_caching=False, enable_codegen=False,
         **kwargs,
     )
     engine.register_binary_columns("events", path)

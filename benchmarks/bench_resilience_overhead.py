@@ -62,7 +62,7 @@ def make_engine(path: str, **kwargs):
     # The vectorized tier exercises the per-batch deadline hook; caching is
     # off so every execution re-scans (the path carrying the checks).
     engine = ProteusEngine(
-        enable_caching=False, enable_codegen=False, enable_parallel=False,
+        enable_caching=False, enable_codegen=False,
         **kwargs,
     )
     engine.register_binary_columns("events", path)

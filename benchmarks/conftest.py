@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one table or figure of the paper's evaluation
 (§7): it runs the experiment driver from :mod:`repro.bench.experiments`, prints
-the paper-style comparison matrix (visible with ``pytest -s`` and summarized in
-EXPERIMENTS.md), asserts the comparative *shape* the paper reports, and times
+the paper-style comparison matrix (visible with ``pytest -s``, and collected
+into the report printed at the end of the session), asserts the comparative
+*shape* the paper reports, and times
 the corresponding Proteus query with pytest-benchmark.
 
 Scales are laptop-sized; set ``REPRO_BENCH_SCALE`` (a float multiplier) to

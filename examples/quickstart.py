@@ -177,15 +177,15 @@ def main() -> None:
         print(f"  [{entry.kind}] {entry.description} ({entry.size_bytes} bytes)")
 
     print("\n== Morsel-driven parallel execution ==")
-    # parallel_workers activates the vectorized-parallel tier: the scan is
-    # split into batch-aligned morsels executed by a work-stealing worker
-    # pool.  Tune it to the physical core count for scan-heavy workloads;
-    # inputs smaller than ~2 morsels (128Ki rows by default) transparently
-    # stay on the serial tier, so it is safe to leave enabled.  This demo
-    # forces small morsels via a small batch size so the tiny dataset fans
-    # out; real deployments keep the default batch size.
+    # parallel_workers is the vectorized tier's worker count: a splittable
+    # scan is split into batch-aligned morsels executed by a work-stealing
+    # worker pool.  Tune it to the physical core count for scan-heavy
+    # workloads; inputs smaller than ~2 morsels (128Ki rows by default) run
+    # in the calling thread, so it is safe to leave set.  This demo forces
+    # small morsels via a small batch size so the tiny dataset fans out;
+    # real deployments keep the default batch size.
     parallel = ProteusEngine(
-        enable_codegen=False,          # showcase the batch tiers
+        enable_codegen=False,          # showcase the vectorized tier
         parallel_workers=max(os.cpu_count() or 1, 2),
         vectorized_batch_size=64,
     )
@@ -209,7 +209,7 @@ def main() -> None:
     #   topk            bounded streaming top-K when a LIMIT is present —
     #                   only K rows survive each batch,
     #   parallel-merge  per-morsel sorted runs + a deterministic k-way merge
-    #                   on the parallel tier,
+    #                   when the vectorized tier fans out over workers,
     #   object-fallback boxed comparator for mixed-type object columns.
     full = engine.query("SELECT sale_id, amount FROM sales ORDER BY amount DESC")
     top = engine.query("SELECT sale_id, amount FROM sales ORDER BY amount DESC LIMIT 3")

@@ -15,7 +15,7 @@
   paper's evaluation.
 """
 
-from repro.core.engine import PreparedQuery, ProteusEngine, QueryResult, ResultSet
+from repro.core.engine import PreparedQuery, ProteusEngine, ResultSet
 from repro.errors import ProteusError
 from repro.serve import ProteusServer
 
@@ -25,7 +25,6 @@ __all__ = [
     "PreparedQuery",
     "ProteusEngine",
     "ProteusServer",
-    "QueryResult",
     "ResultSet",
     "ProteusError",
     "__version__",

@@ -6,6 +6,6 @@ code-generation machinery that collapses the engine into a specialized program
 for every query.
 """
 
-from repro.core.engine import PreparedQuery, ProteusEngine, QueryResult, ResultSet
+from repro.core.engine import PreparedQuery, ProteusEngine, ResultSet
 
-__all__ = ["PreparedQuery", "ProteusEngine", "QueryResult", "ResultSet"]
+__all__ = ["PreparedQuery", "ProteusEngine", "ResultSet"]

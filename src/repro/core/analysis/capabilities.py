@@ -19,7 +19,7 @@ an explicit entry here — a new operator cannot silently fall through a tier.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Callable
 
 from repro.core.codegen.expr_gen import supported_by_codegen
 from repro.core.expressions import contains_aggregate, to_string
@@ -36,8 +36,6 @@ from repro.core.physical import (
     expressions_of,
     unwrap_sort,
 )
-from repro.errors import VectorizationError
-
 from repro.core.analysis.model import (
     CASCADE_TIERS,
     TIER_CODEGEN,
@@ -46,10 +44,7 @@ from repro.core.analysis.model import (
     TIER_GROUP_COLUMN,
     TIER_OUTER_JOIN,
     TIER_OUTER_UNNEST_PREDICATE,
-    TIER_PARALLEL,
     TIER_PLAN_SHAPE,
-    TIER_SCAN_NOT_SPLITTABLE,
-    TIER_SINGLE_MORSEL,
     TIER_VECTORIZED,
     TIER_VOLCANO,
     TierVerdict,
@@ -79,17 +74,17 @@ def _codegen_unnest(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
         return (
             TIER_PLAN_SHAPE,
             "outer unnest is served by the batch-native unnest of the "
-            "vectorized tiers",
+            "vectorized tier",
         )
     if node.binding not in scans:
         # A nested-in-nested unnest: the parent binding is itself an unnest
         # variable, so the generator has no OID buffer to drive the plug-in's
-        # offset-vector API.  The batch tiers serve it through the
+        # offset-vector API.  The vectorized tier serves it through the
         # column-backed path.
         return (
             TIER_PLAN_SHAPE,
             f"no OID buffer for binding {node.binding!r}; the vectorized "
-            "tiers flatten the materialized collection column",
+            "tier flattens the materialized collection column",
         )
     return None
 
@@ -161,16 +156,6 @@ OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {
         PhysNest: _codegen_nest,
         PhysSort: None,
     },
-    TIER_PARALLEL: {
-        PhysScan: None,
-        PhysSelect: None,
-        PhysUnnest: _batch_unnest,
-        PhysHashJoin: _no_outer_join,
-        PhysNestedLoopJoin: _no_outer_join,
-        PhysReduce: None,
-        PhysNest: _batch_nest,
-        PhysSort: None,
-    },
     TIER_VECTORIZED: {
         PhysScan: None,
         PhysSelect: None,
@@ -196,7 +181,7 @@ OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {
 }
 
 #: Tiers whose operator interpreters only accept Reduce / Nest plan roots.
-_ROOTED_TIERS = frozenset({TIER_CODEGEN, TIER_PARALLEL, TIER_VECTORIZED})
+_ROOTED_TIERS = frozenset({TIER_CODEGEN, TIER_VECTORIZED})
 
 
 def plan_verdict(tier: str, plan: PhysicalPlan) -> Decline:
@@ -244,36 +229,18 @@ def tier_verdicts(
     *,
     enable_codegen: bool,
     enable_vectorized: bool,
-    enable_parallel: bool,
-    parallel_workers: int,
-    catalog: Any = None,
-    plugins: Mapping[str, object] | None = None,
-    cache_manager: Any = None,
-    batch_size: int = 4096,
 ) -> tuple[TierVerdict, ...]:
-    """One :class:`TierVerdict` per tier, in cascade order.
-
-    Folds the engine configuration (ablation flags, worker count) over the
-    capability table; with a catalog and plug-ins the parallel tier's verdict
-    additionally runs the driving-scan precheck (splittability and morsel
-    count — the only input-data-dependent condition).
-    """
+    """One :class:`TierVerdict` per tier, in cascade order: the ablation
+    flags folded over the capability table.  The worker count is not a
+    verdict input — the vectorized tier decides at run time whether its
+    input fans out."""
     verdicts: list[TierVerdict] = []
     for tier in CASCADE_TIERS:
         decline = _config_decline(
-            tier,
-            enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
-            enable_parallel=enable_parallel,
-            parallel_workers=parallel_workers,
+            tier, enable_codegen=enable_codegen, enable_vectorized=enable_vectorized
         )
         if decline is None:
             decline = plan_verdict(tier, physical)
-        if decline is None and tier == TIER_PARALLEL and catalog is not None:
-            decline = _parallel_scan_decline(
-                physical, catalog, plugins or {}, cache_manager,
-                batch_size, parallel_workers,
-            )
         if decline is None:
             verdicts.append(TierVerdict(tier, serves=True))
         else:
@@ -283,49 +250,10 @@ def tier_verdicts(
 
 
 def _config_decline(
-    tier: str,
-    *,
-    enable_codegen: bool,
-    enable_vectorized: bool,
-    enable_parallel: bool,
-    parallel_workers: int,
+    tier: str, *, enable_codegen: bool, enable_vectorized: bool
 ) -> Decline:
     if tier == TIER_CODEGEN and not enable_codegen:
         return (TIER_DISABLED, "disabled (enable_codegen=False)")
-    if tier in (TIER_PARALLEL, TIER_VECTORIZED) and not enable_vectorized:
+    if tier == TIER_VECTORIZED and not enable_vectorized:
         return (TIER_DISABLED, "disabled (enable_vectorized=False)")
-    if tier == TIER_PARALLEL:
-        if not enable_parallel:
-            return (TIER_DISABLED, "disabled (enable_parallel=False)")
-        if parallel_workers <= 1:
-            return (TIER_DISABLED, "parallel_workers=1 (engine configured serial)")
-    return None
-
-
-def _parallel_scan_decline(
-    physical: PhysicalPlan,
-    catalog: Any,
-    plugins: Mapping[str, object],
-    cache_manager: Any,
-    batch_size: int,
-    parallel_workers: int,
-) -> Decline:
-    """Run the parallel tier's driving-scan precheck, mapping its
-    :class:`VectorizationError` onto a verdict code."""
-    from repro.core.parallel import precheck_driving_scan
-
-    root = unwrap_sort(physical)
-    child = root.children()[0] if root.children() else root
-    try:
-        precheck_driving_scan(
-            child, catalog, plugins, cache_manager, batch_size, parallel_workers
-        )
-    except VectorizationError as exc:
-        reason = str(exc)
-        code = (
-            TIER_SINGLE_MORSEL
-            if "single morsel" in reason
-            else TIER_SCAN_NOT_SPLITTABLE
-        )
-        return (code, reason)
     return None

@@ -44,13 +44,14 @@ class ExecutionProfile:
     batches_processed: int = 0
     used_generated_code: bool = True
     #: Which execution tier served the query: "codegen" (the specialized
-    #: per-query program), "vectorized-parallel" (the morsel-driven parallel
-    #: batch interpreter), "vectorized" (the serial batch interpreter) or
-    #: "volcano" (the tuple-at-a-time interpreter).
+    #: per-query program), "vectorized" (the batch interpreter) or "volcano"
+    #: (the tuple-at-a-time interpreter).
     execution_tier: str = "codegen"
-    #: Worker count of the parallel tier (0 on the serial tiers).
+    #: Worker count of a vectorized execution that fanned out over the
+    #: worker pool (0 when everything ran in the calling thread).
     parallel_workers: int = 0
-    #: Morsels executed / obtained by stealing on the parallel tier.
+    #: Morsels executed / obtained by stealing in that fan-out (0 without
+    #: one).
     morsels_dispatched: int = 0
     morsels_stolen: int = 0
     #: True when the codegen tier served this execution from an
@@ -58,9 +59,9 @@ class ExecutionProfile:
     compiled_from_cache: bool = False
     #: Which sort kernel served the query's ORDER BY: "lexsort" (one stable
     #: dtype-specialized permutation), "topk" (bounded streaming top-K for
-    #: ORDER BY + LIMIT), "parallel-merge" (per-morsel sorted runs merged
-    #: k-way at the root), "object-fallback" (boxed comparator for object
-    #: columns) — or None when the query has no ORDER BY.
+    #: ORDER BY + LIMIT), "parallel-merge" (sorted runs of several morsels
+    #: merged k-way at the root), "object-fallback" (boxed comparator for
+    #: object columns) — or None when the query has no ORDER BY.
     sort_strategy: str | None = None
     #: Rows that entered a sort kernel (for streaming top-K this counts every
     #: pruned batch, so it can exceed the result size).
@@ -129,9 +130,8 @@ class ExecutionProfile:
 #: a slower (more of a bottleneck) tier.
 _TIER_RANK = {
     "codegen": 0,
-    "vectorized-parallel": 1,
-    "vectorized": 2,
-    "volcano": 3,
+    "vectorized": 1,
+    "volcano": 2,
 }
 
 

@@ -365,7 +365,7 @@ SHARED_CLASSES: dict[str, str] = {
         "thread calling engine.query() with one query text"
     ),
     "CacheManager": (
-        "shared by both batch tiers, the codegen runtime and the planner's "
+        "shared by the vectorized tier, the codegen runtime and the planner's "
         "access-path selection; parallel workers populate it via ScanOperator"
     ),
     "CacheArena": (
@@ -377,7 +377,7 @@ SHARED_CLASSES: dict[str, str] = {
     ),
     "WorkerPool": (
         "spawns the morsel worker threads (proteus-worker-N); run() is the "
-        "thread entry point of the parallel tier"
+        "thread entry point of parallel vectorized execution"
     ),
     "AdmissionController": (
         "the admission gate is shared by every client thread entering "

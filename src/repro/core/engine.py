@@ -11,34 +11,30 @@ the paper describes:
    algebra, which the optimizer lowers to a physical plan (selection/
    projection pushdown, join ordering, access-path selection against the
    caches),
-3. the plan executes through a four-tier cascade:
+3. the plan executes through a three-tier cascade:
 
    * **codegen** — the code generator collapses the plan into one specialized
      program executed against the query runtime (§5.1, the engine-per-query),
-   * **vectorized-parallel** — when ``parallel_workers > 1``, shapes the
-     generator does not cover run through the morsel-driven parallel batch
-     interpreter: the driving scan splits into batch-aligned morsels that a
-     work-stealing worker pool executes concurrently, with partial per-morsel
-     aggregation and a deterministic morsel-ordered merge,
-   * **vectorized** — the serial batch interpreter serves the same shapes on
-     one core (and is the fallback when a scan cannot be split into morsels,
-     e.g. the binary row format's per-tuple shim, or when the input fits a
-     single morsel),
-   * **volcano** — shapes the batch interpreters cannot serve (record
+   * **vectorized** — shapes the generator does not cover run through the
+     batch interpreter.  With ``parallel_workers > 1`` it splits a
+     splittable driving scan into batch-aligned morsels that a
+     work-stealing worker pool executes concurrently, with partial
+     per-morsel results merged deterministically in morsel order; an
+     unsplittable scan (e.g. the binary row format's per-tuple shim) or a
+     single-morsel input runs in the calling thread,
+   * **volcano** — shapes the batch interpreter cannot serve (record
      construction in output columns, outer joins, null group keys) fall back
      to the tuple-at-a-time Volcano interpreter, the paper's "static
      general-purpose engine" baseline.  Unnests — inner *and* outer, nested
      collections included — are batch-native: the plug-ins' offset-vector
      ``scan_unnest_batch`` API keeps them on the fast tiers.
 
-   The ablation flags ``enable_codegen``, ``enable_parallel`` and
-   ``enable_vectorized`` disable tiers individually (``enable_vectorized``
-   disables both batch tiers); ``ExecutionProfile.execution_tier`` records
-   which tier actually served each query, and :meth:`ProteusEngine.explain`
+   The ablation flags ``enable_codegen`` and ``enable_vectorized`` disable
+   tiers individually; ``ExecutionProfile.execution_tier`` records which
+   tier actually served each query, and :meth:`ProteusEngine.explain`
    reports the whole cascade decision for a query without running it.
 4. caches are populated as a side effect and reused by later queries — by
-   the generated tier *and*, since the parallel subsystem landed, by both
-   batch interpreters.
+   the generated tier and by the batch interpreter.
 
 The v2 query API is built around **prepared statements**: the specialization
 the paper bets on pays for itself when a query *shape* recurs, so the shape is
@@ -56,18 +52,17 @@ Results are returned as a lazy columnar :class:`ResultSet`: the executor's
 columnar output *is* the backing store — ``column_array`` hands out NumPy
 buffers with no rows round-trip, ``rows``/iteration materialize Python tuples
 only on first access, and ``fetch_batches`` streams the result in bounded
-chunks.  :data:`QueryResult` remains as a deprecated alias.
+chunks.
 
 Parallelism tuning: ``parallel_workers`` defaults to 1 (serial).  Set it to
 the number of physical cores for scan-heavy workloads; morsels are 64Ki rows
 by default, so inputs of ~128Ki rows or more actually fan out, and smaller
-inputs transparently stay on the serial tier where they are faster anyway.
+inputs run in the calling thread, where they are faster anyway.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,7 +94,6 @@ from repro.core.executor.vectorized import (
     VectorizedExecutor,
 )
 from repro.core.executor.volcano import VolcanoExecutor
-from repro.core.parallel import ParallelVectorizedExecutor
 from repro.core.normalizer import normalize
 from repro.core.optimizer.planner import Planner
 from repro.core.optimizer.statistics import StatisticsManager
@@ -166,57 +160,25 @@ class ResultSet:
     def __init__(
         self,
         columns: Sequence[str],
-        data: Mapping[str, Any] | None = None,
+        data: Mapping[str, Any],
         *,
+        tier: str,
         length: int | None = None,
         execution_seconds: float = 0.0,
-        tier: str | None = None,
         profile: ExecutionProfile | None = None,
-        rows: Sequence[tuple] | None = None,
-        used_codegen: bool | None = None,  # accepted for v1 compatibility
     ):
         self.columns = list(columns)
         self.execution_seconds = execution_seconds
-        if tier is None:
-            # v1-style construction: honor an explicit used_codegen flag so
-            # the deprecated property reads back what the caller stated.
-            tier = "codegen" if used_codegen is None or used_codegen else "volcano"
-        #: Which execution tier served the query: "codegen",
-        #: "vectorized-parallel", "vectorized" or "volcano".
+        #: Which execution tier served the query: "codegen", "vectorized"
+        #: or "volcano".
         self.tier = tier
         self.profile = profile
         self._rows: list[tuple] | None = None
         self._pylists: dict[str, list] = {}
-        if data is None:
-            # v1-style construction from materialized rows.
-            if rows is None:
-                raise ExecutionError(
-                    "ResultSet requires columnar data (or, for compatibility, rows)"
-                )
-            self._rows = [tuple(row) for row in rows]
-            data = {
-                name: [row[index] for row in self._rows]
-                for index, name in enumerate(self.columns)
-            }
-            length = len(self._rows)
         self._data = dict(data)
         if length is None:
             length = len(next(iter(self._data.values()))) if self._data else 0
         self._length = int(length)
-
-    # -- deprecated v1 surface ----------------------------------------------
-
-    @property
-    def used_codegen(self) -> bool:
-        """Deprecated: use ``.tier == "codegen"`` (or inspect ``.tier``
-        directly — it also distinguishes the two batch tiers)."""
-        warnings.warn(
-            "QueryResult.used_codegen is deprecated; use result.tier "
-            "(== 'codegen') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.tier == "codegen"
 
     # -- columnar access ----------------------------------------------------
 
@@ -302,10 +264,6 @@ class ResultSet:
     def to_dicts(self) -> list[dict[str, Any]]:
         """The result as a list of dicts (one per row)."""
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-#: Deprecated alias of :class:`ResultSet` (the v1 result class name).
-QueryResult = ResultSet
 
 
 class PreparedQuery:
@@ -518,7 +476,6 @@ class ProteusEngine:
         enable_caching: bool = True,
         enable_codegen: bool = True,
         enable_vectorized: bool = True,
-        enable_parallel: bool = True,
         parallel_workers: int | None = None,
         enable_join_reordering: bool = True,
         vectorized_batch_size: int = DEFAULT_BATCH_SIZE,
@@ -538,10 +495,8 @@ class ProteusEngine:
         self.catalog = Catalog()
         self.enable_codegen = enable_codegen
         self.enable_vectorized = enable_vectorized
-        #: ``parallel_workers`` is the degree of the morsel-driven parallel
-        #: tier; 1 (the default) keeps execution serial.  ``enable_parallel``
-        #: is the ablation switch for the tier as a whole.
-        self.enable_parallel = enable_parallel
+        #: Worker count of the vectorized tier's morsel-driven execution; 1
+        #: (the default) keeps execution serial.
         self.parallel_workers = 1 if parallel_workers is None else max(int(parallel_workers), 1)
         self.vectorized_batch_size = vectorized_batch_size
         self.enable_caching = enable_caching
@@ -952,8 +907,9 @@ class ProteusEngine:
                     "== sort strategy ==",
                     f"{strategy}: {why}",
                     "(execution refines the choice per key dtype: object "
-                    "columns fall back to the boxed comparator, and the "
-                    "parallel tier merges per-morsel sorted runs)",
+                    "columns fall back to the boxed comparator, and a "
+                    "vectorized run that fans out over workers merges "
+                    "per-morsel sorted runs)",
                 ]
             )
         codegen_verdict = verdicts[0]
@@ -989,6 +945,12 @@ class ProteusEngine:
                     f"{verdict.tier}: declines -- {verdict.reason} "
                     f"[{verdict.code}]"
                 )
+        if self.parallel_workers > 1:
+            parts.append(
+                f"(vectorized runs with parallel_workers={self.parallel_workers}: "
+                "it fans out when the driving scan splits into more than one "
+                "morsel, and runs in the calling thread otherwise)"
+            )
         parts.append(
             "(note: run-time data conditions, e.g. null join or group keys, "
             "can still demote a batch tier to volcano during execution)"
@@ -1098,12 +1060,6 @@ class ProteusEngine:
             physical,
             enable_codegen=self.enable_codegen,
             enable_vectorized=self.enable_vectorized,
-            enable_parallel=self.enable_parallel,
-            parallel_workers=self.parallel_workers,
-            catalog=self.catalog,
-            plugins=self.plugins,
-            cache_manager=self.cache_manager,
-            batch_size=self.vectorized_batch_size,
         )
 
     def _plan(
@@ -1311,10 +1267,6 @@ class ProteusEngine:
                 if verdict.tier == "codegen":
                     executed = self._execute_generated(
                         physical, params, trace, context
-                    )
-                elif verdict.tier == "vectorized-parallel":
-                    executed = self._execute_parallel(
-                        physical, params, analysis.hints, trace, context
                     )
                 else:
                     executed = self._execute_vectorized(
@@ -1561,37 +1513,6 @@ class ProteusEngine:
         runtime.profile.compiled_from_cache = from_cache
         return names, output, runtime.profile
 
-    def _execute_parallel(
-        self,
-        physical: PhysicalPlan,
-        params: ParamValues | None = None,
-        hints: NullabilityHints | None = None,
-        trace: TraceBuilder | None = None,
-        context: QueryContext | None = None,
-    ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
-        executor = ParallelVectorizedExecutor(
-            self.catalog,
-            self.plugins,
-            batch_size=self.vectorized_batch_size,
-            num_workers=self.parallel_workers,
-            cache_manager=self.cache_manager,
-            params=params,
-            hints=hints,
-            trace=trace,
-            context=context,
-        )
-        names, columns = executor.execute(physical)
-        profile = ExecutionProfile(
-            used_generated_code=False, execution_tier="vectorized-parallel"
-        )
-        _copy_pipeline_counters(profile, executor.counters)
-        profile.sort_strategy = executor.sort_strategy
-        profile.parallel_workers = executor.num_workers
-        profile.morsels_dispatched = executor.morsels_dispatched
-        profile.morsels_stolen = executor.morsels_stolen
-        self.last_generated_source = None
-        return names, columns, profile
-
     def _execute_vectorized(
         self,
         physical: PhysicalPlan,
@@ -1604,6 +1525,7 @@ class ProteusEngine:
             self.catalog,
             self.plugins,
             batch_size=self.vectorized_batch_size,
+            num_workers=self.parallel_workers,
             cache_manager=self.cache_manager,
             params=params,
             hints=hints,
@@ -1611,11 +1533,25 @@ class ProteusEngine:
             context=context,
         )
         names, columns = executor.execute(physical)
+        counters = executor.counters
         profile = ExecutionProfile(
-            used_generated_code=False, execution_tier="vectorized"
+            rows_scanned=counters.rows_scanned,
+            values_extracted=counters.values_extracted,
+            values_from_cache=counters.values_from_cache,
+            join_build_rows=counters.join_build_rows,
+            join_output_rows=counters.join_output_rows,
+            groups_built=counters.groups_built,
+            output_rows=counters.output_rows,
+            batches_processed=counters.batches_processed,
+            used_generated_code=False,
+            execution_tier="vectorized",
+            parallel_workers=executor.num_workers if executor.fanned_out else 0,
+            morsels_dispatched=executor.morsels_dispatched,
+            morsels_stolen=executor.morsels_stolen,
+            sort_strategy=executor.sort_strategy,
+            rows_sorted=counters.rows_sorted,
+            unnest_output_rows=counters.unnest_output_rows,
         )
-        _copy_pipeline_counters(profile, executor.counters)
-        profile.sort_strategy = executor.sort_strategy
         self.last_generated_source = None
         return names, columns, profile
 
@@ -1677,20 +1613,6 @@ def _failure_code(exc: BaseException) -> str:
     uncoded exceptions are grouped under ``internal``."""
     code = getattr(exc, "code", None)
     return code if isinstance(code, str) and code else "internal"
-
-
-def _copy_pipeline_counters(profile: ExecutionProfile, counters) -> None:
-    """Mirror a batch executor's pipeline counters into a profile."""
-    profile.rows_scanned = counters.rows_scanned
-    profile.batches_processed = counters.batches_processed
-    profile.values_extracted = counters.values_extracted
-    profile.values_from_cache = counters.values_from_cache
-    profile.join_build_rows = counters.join_build_rows
-    profile.join_output_rows = counters.join_output_rows
-    profile.groups_built = counters.groups_built
-    profile.output_rows = counters.output_rows
-    profile.rows_sorted = counters.rows_sorted
-    profile.unnest_output_rows = counters.unnest_output_rows
 
 
 def _output_names(physical: PhysicalPlan) -> list[str]:

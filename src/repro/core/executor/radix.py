@@ -103,7 +103,7 @@ class RadixTable:
 
 def cluster_partition(keys: np.ndarray, positions: np.ndarray) -> RadixPartition:
     """Sort-cluster one build partition (the per-partition unit of work that
-    the parallel tier fans out across workers)."""
+    a parallel build fans out across workers)."""
     partition_keys = keys[positions]
     try:
         order = np.argsort(partition_keys, kind="stable")
@@ -380,6 +380,19 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
 
 
 
+def average(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-group averages from per-group sums and non-missing counts; groups
+    without input average to NaN."""
+    counts = np.asarray(counts)
+    if sums.dtype == object:
+        return np.asarray([
+            total / count if count else float("nan")
+            for total, count in zip(sums.tolist(), counts.tolist())
+        ])
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+
+
 def group_aggregate(
     func: str,
     group_ids: np.ndarray,
@@ -418,14 +431,7 @@ def group_aggregate(
                                minlength=num_groups)
         if func == "sum":
             return sums
-        counts = np.bincount(group_ids, minlength=num_groups)
-        if sums.dtype == object:
-            return np.asarray([
-                total / count if count else float("nan")
-                for total, count in zip(sums.tolist(), counts.tolist())
-            ])
-        with np.errstate(invalid="ignore"):
-            return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return average(sums, np.bincount(group_ids, minlength=num_groups))
     if func in ("max", "min"):
         if values.dtype == object or values.dtype.kind in "US":
             pick = max if func == "max" else min

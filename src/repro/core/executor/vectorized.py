@@ -27,10 +27,17 @@ of per-tuple dict environments.  The plan is first lowered by
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the per-call :class:`PipelineCounters`), so the same pipeline object can be
-executed over any batch range by any worker — this is what the morsel-driven
-parallel tier (:mod:`repro.core.parallel`) builds on: it compiles one
-pipeline, splits the driving scan into morsels and runs the pipeline
-concurrently over them.
+executed over any batch range by any worker.  That is how the executor runs
+in parallel: with ``num_workers > 1`` and a driving scan that splits into
+several batch-aligned morsels (:mod:`repro.core.parallel`), a work-stealing
+pool runs the pipeline over the morsels and each plan root merges its
+per-morsel partials in morsel order — partial aggregation for global
+aggregates, partial radix grouping plus a grouped merge for group-bys,
+sorted runs plus a k-way merge for ``ORDER BY``, concatenation for
+projections.  Otherwise the same roots run in the calling thread over the
+whole scan as one partial.  Integer results are bit-identical at any worker
+count; float sums may differ in the last ulp, because addition is
+reassociated across morsels, but stay deterministic run to run.
 
 The scan operator also consults the adaptive :class:`CacheManager` the way
 the generated tier does: cached field columns are served (and counted as
@@ -85,6 +92,8 @@ from repro.core.expressions import (
     iter_aggregates,
     parameter_env,
 )
+from repro.core.parallel.morsels import Morsel, plan_morsels
+from repro.core.parallel.scheduler import WorkerPool
 from repro.core.physical import (
     PhysHashJoin,
     PhysNest,
@@ -95,11 +104,14 @@ from repro.core.physical import (
     PhysSort,
     PhysUnnest,
     PhysicalPlan,
+    unwrap_sort,
 )
 from repro.core.sort import (
-    STRATEGY_TOPK,
+    STRATEGY_PARALLEL_MERGE,
     TopKAccumulator,
     concat_chunks,
+    merge_encodable,
+    merge_sorted_runs,
     resolve_limit,
     sort_columns,
 )
@@ -742,50 +754,33 @@ class CompiledPipeline:
         return batch
 
 
-def serial_materialize(
-    pipeline: CompiledPipeline, compiler: "PipelineCompiler"
-) -> Batch:
-    """Run a pipeline to completion on the calling thread and concatenate."""
-    if pipeline.always_empty:
-        return Batch(count=0)
-    collected: list[Batch] = []
-    for batch in pipeline.source.iter_batches(compiler.counters, compiler.batch_size):
-        out = pipeline.process(batch, compiler.counters)
-        if out is not None:
-            collected.append(out)
-    return concat_batches(collected)
-
-
 class PipelineCompiler:
     """Lower a physical plan subtree into a :class:`CompiledPipeline`.
 
     Join build sides are materialized *during* compilation (they are blocking
-    operators), through the injected ``materializer`` — the serial executor
-    runs them inline, the parallel executor fans their scans across the
-    worker pool and builds the radix table partition-parallel via
-    ``table_builder``.
+    operators), through the injected ``materializer``; the executor fans
+    their scans across its worker pool when they split, and builds the radix
+    table partition-parallel via ``table_builder``.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
-        batch_size: int,
+        counters: PipelineCounters,
+        materializer: Callable[[CompiledPipeline], Batch],
+        table_builder: Callable[[np.ndarray], radix.RadixTable],
         cache_manager=None,
-        counters: PipelineCounters | None = None,
-        materializer: Callable[[CompiledPipeline, "PipelineCompiler"], Batch] | None = None,
-        table_builder: Callable[[np.ndarray], radix.RadixTable] | None = None,
         params: Mapping[int | str, object] | None = None,
         trace: TraceBuilder | None = None,
         context=None,
     ):
         self.catalog = catalog
         self.plugins = plugins
-        self.batch_size = max(int(batch_size), 1)
         self.cache_manager = cache_manager
-        self.counters = counters if counters is not None else PipelineCounters()
-        self.materializer = materializer or serial_materialize
-        self.table_builder = table_builder or radix.build_radix_table
+        self.counters = counters
+        self.materializer = materializer
+        self.table_builder = table_builder
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
         #: Per-query resilience context, handed to every scan operator and
@@ -830,7 +825,7 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.materializer(self.compile(plan.left), self)
+            left = self.materializer(self.compile(plan.left))
             pipeline = self.compile(plan.right)
             if left.count == 0 or pipeline.always_empty:
                 # An inner join with an empty build side produces nothing;
@@ -858,7 +853,7 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.materializer(self.compile(plan.left), self)
+            left = self.materializer(self.compile(plan.left))
             pipeline = self.compile(plan.right)
             if left.count == 0 or pipeline.always_empty:
                 pipeline.always_empty = True
@@ -910,90 +905,30 @@ class PipelineCompiler:
 
 
 # ---------------------------------------------------------------------------
-# Shared group-by plumbing (used by the serial and the parallel tier)
-# ---------------------------------------------------------------------------
-
-
-def collect_nest_aggregates(
-    plan: PhysNest,
-) -> tuple[dict[tuple, int], list[AggregateCall]]:
-    """Classify a Nest's output columns into group keys and aggregates.
-
-    Returns (fingerprint → group-key index, unique aggregate calls).  Raises
-    :class:`VectorizationError` for output columns that are neither, which
-    only the Volcano interpreter serves.
-    """
-    group_key_fingerprints = {
-        expression.fingerprint(): index
-        for index, expression in enumerate(plan.group_by)
-    }
-    aggregates: list[AggregateCall] = []
-    seen: set[tuple] = set()
-    for column in plan.columns:
-        fingerprint = column.expression.fingerprint()
-        if fingerprint in group_key_fingerprints:
-            continue
-        if not contains_aggregate(column.expression):
-            raise VectorizationError(
-                f"group-by output column {column.name!r} is neither a group "
-                "key nor an aggregate; served by the Volcano interpreter"
-            )
-        for aggregate in iter_aggregates(column.expression):
-            if aggregate.fingerprint() not in seen:
-                seen.add(aggregate.fingerprint())
-                aggregates.append(aggregate)
-    return group_key_fingerprints, aggregates
-
-
-def finish_nest_columns(
-    plan: PhysNest,
-    group_key_fingerprints: dict[tuple, int],
-    grouping: radix.GroupingResult,
-    aggregate_results: dict[tuple, np.ndarray],
-    params: Mapping[int | str, object] | None = None,
-) -> dict[str, Any]:
-    """Assemble a Nest's output columns from grouped keys and per-group
-    aggregate result columns.
-
-    Each aggregate's result column is exposed under a synthetic binding, then
-    the heads are finished with the vectorized evaluator — this keeps
-    arithmetic/logical combinations of aggregates (e.g. ``max(x) > 5 and
-    min(x) > 0``) on the batch path; ``params`` keeps query parameters in the
-    heads (e.g. ``sum(x) * :rate``) evaluable.
-    """
-    group_batch = Batch(count=grouping.num_groups, params=params)
-    results: dict[tuple, Expression] = {}
-    for index, (fingerprint, values) in enumerate(aggregate_results.items()):
-        reference = FieldRef(_AGG_BINDING, (f"agg_{index}",))
-        group_batch.columns[(_AGG_BINDING, reference.path)] = np.asarray(values)
-        results[fingerprint] = reference
-    columns: dict[str, Any] = {}
-    for column in plan.columns:
-        fingerprint = column.expression.fingerprint()
-        if fingerprint in group_key_fingerprints:
-            index = group_key_fingerprints[fingerprint]
-            columns[column.name] = grouping.key_arrays[index]
-            continue
-        final = replace_aggregates(column.expression, results)
-        columns[column.name] = materialize(
-            evaluate_batch(final, group_batch), grouping.num_groups
-        )
-    return columns
-
-
-# ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
 
+#: Below this many build-side keys a partition-parallel table build costs
+#: more in scheduling than it saves in sorting.
+MIN_PARALLEL_BUILD_KEYS = 8192
+
 
 class VectorizedExecutor:
-    """Batch-vectorized interpreter over physical plans."""
+    """Batch-vectorized interpreter over physical plans.
+
+    ``num_workers`` is the degree of morsel-driven parallelism.  An execution
+    fans out only when ``num_workers > 1``, the driving scan is splittable
+    and :func:`plan_morsels` yields more than one morsel; join build sides
+    fan out under the same rule.  Otherwise the same plan root runs in the
+    calling thread over :meth:`ScanOperator.iter_batches`.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
         batch_size: int = DEFAULT_BATCH_SIZE,
+        num_workers: int = 1,
         cache_manager=None,
         params: Mapping[int | str, object] | None = None,
         hints: NullabilityHints | None = None,
@@ -1003,225 +938,605 @@ class VectorizedExecutor:
         self.catalog = catalog
         self.plugins = plugins
         self.batch_size = max(int(batch_size), 1)
+        self.num_workers = max(int(num_workers), 1)
         self.cache_manager = cache_manager
         self.params = params
-        #: Per-query resilience context (deadline/cancel), threaded into the
-        #: pipeline compiler so every batch observes it.
+        #: Per-query resilience context (deadline/cancel): checked per batch
+        #: inside pipelines and per morsel by the workers; the pool observes
+        #: it next to its error-cancel event so teardown drains cleanly.
         self.context = context
         #: Static nullability hints from the plan analyzer: output columns /
         #: aggregate arguments proven non-nullable skip missing-mask work.
         self.hints = hints if hints is not None else EMPTY_HINTS
         #: Span trace of this execution (``None`` = untraced, zero overhead).
+        #: Traced stages are shared by every worker; their span accumulators
+        #: are locked, so per-morsel work aggregates into one span per
+        #: operator.
         self.trace = trace
         #: Counters mirrored into the engine's :class:`ExecutionProfile`.
         self.counters = PipelineCounters()
+        #: Morsels executed / obtained by stealing (0 without a fan-out).
+        self.morsels_dispatched = 0
+        self.morsels_stolen = 0
+        #: Whether any work of this execution ran on the worker pool.
+        self.fanned_out = False
         #: Sort kernel this executor ran for a root ``PhysSort`` (``None``
         #: when the engine's columnar epilogue should handle the sort — small
         #: grouped/aggregated outputs are cheaper to sort once materialized).
         self.sort_strategy: str | None = None
+        self._pool = WorkerPool(self.num_workers)
 
     # -- public API ----------------------------------------------------------
 
     def execute(self, plan: PhysicalPlan) -> tuple[list[str], dict[str, Any]]:
         """Execute a plan; returns (column names, column values)."""
-        sort_plan: PhysSort | None = None
-        if isinstance(plan, PhysSort):
-            sort_plan = plan
-            plan = plan.child
-        if isinstance(plan, PhysReduce):
-            names, columns, compiler = self._execute_reduce(plan, sort_plan)
-        elif isinstance(plan, PhysNest):
-            names, columns, compiler = self._execute_nest(plan)
-        else:
-            raise ExecutionError(
-                f"the plan root must be Reduce or Nest, got {plan.describe()}"
-            )
-        compiler.store_scan_caches()
-        return names, columns
-
-    # -- batch pipelines -------------------------------------------------------
-
-    def _compile(self, child: PhysicalPlan) -> tuple[PipelineCompiler, CompiledPipeline]:
+        root = _make_root(plan, self.params, self.hints)
         compiler = PipelineCompiler(
             self.catalog,
             self.plugins,
-            self.batch_size,
+            self.counters,
+            self._materialize,
+            self._build_table,
             cache_manager=self.cache_manager,
-            counters=self.counters,
             params=self.params,
             trace=self.trace,
             context=self.context,
         )
-        return compiler, compiler.compile(child)
-
-    def _pipeline_batches(self, pipeline: CompiledPipeline) -> Iterator[Batch]:
-        if pipeline.always_empty:
-            return
-        for batch in pipeline.source.iter_batches(self.counters, self.batch_size):
-            out = pipeline.process(batch, self.counters)
-            if out is not None:
-                yield out
-
-    # -- roots -----------------------------------------------------------------
-
-    def _execute_reduce(
-        self, plan: PhysReduce, sort_plan: PhysSort | None = None
-    ) -> tuple[list[str], dict[str, Any], PipelineCompiler]:
-        names = [column.name for column in plan.columns]
-        compiler, pipeline = self._compile(plan.child)
-        aggregated = any(contains_aggregate(column.expression) for column in plan.columns)
-        if not aggregated:
-            limit = (
-                resolve_limit(sort_plan.limit, self.params)
-                if sort_plan is not None
-                else None
-            )
-            if sort_plan is not None and sort_plan.keys and limit is not None:
-                return (
-                    *self._reduce_streaming_topk(plan, pipeline, sort_plan, limit),
-                    compiler,
-                )
-            unique_columns = unique_output_columns(plan.columns)
-            chunks: dict[str, list[np.ndarray]] = {name: [] for name in names}
-            total = 0
-            for batch in self._pipeline_batches(pipeline):
-                for column in unique_columns:
-                    chunks[column.name].append(
-                        materialize(
-                            evaluate_batch(column.expression, batch), batch.count
-                        )
-                    )
-                total += batch.count
-                if limit is not None and total >= limit:
-                    # Pure LIMIT (keys would have taken the streaming top-K
-                    # path): enough rows survived — stop scanning.  The
-                    # engine's epilogue slices the exact prefix.
-                    break
-            # output_rows counts the rows emitted into the result: a pure
-            # LIMIT stops scanning mid-batch, and the engine slices the
-            # exact prefix off the final (possibly overshooting) batch.
-            self.counters.output_rows += total if limit is None else min(total, limit)
-            columns = {name: concat_chunks(parts) for name, parts in chunks.items()}
-            if sort_plan is not None and sort_plan.keys:
-                self.counters.rows_sorted += total
-                length, columns, strategy = sort_columns(
-                    names, total, columns, sort_plan.keys, limit,
-                    self.hints.non_null_columns,
-                )
-                self.sort_strategy = strategy
-            return names, columns, compiler
-        accumulators = _BatchAggregates(
-            plan.columns, self.hints.non_null_aggregate_args
-        )
-        for batch in self._pipeline_batches(pipeline):
-            accumulators.update(batch)
-        values = accumulators.finalize()
-        self.counters.output_rows += 1
-        finish_env = parameter_env(self.params)
-        columns = {}
-        for column in plan.columns:
-            final = replace_aggregates(column.expression, literal_results(values))
-            columns[column.name] = [_python_value(final.evaluate(finish_env))]
-        return names, columns, compiler
-
-    def _reduce_streaming_topk(
-        self,
-        plan: PhysReduce,
-        pipeline: CompiledPipeline,
-        sort_plan: PhysSort,
-        limit: int,
-    ) -> tuple[list[str], dict[str, Any]]:
-        """ORDER BY + LIMIT over a projection: bounded streaming top-K.
-
-        Each batch is pruned to the K rows that can still reach the result
-        before the next batch streams in, so the full input is never
-        materialized — see :class:`repro.core.sort.TopKAccumulator`.
-        """
-        names = [column.name for column in plan.columns]
-        unique_columns = unique_output_columns(plan.columns)
-        if limit == 0:
-            # Evaluate (only) the first batch so the empty result keeps the
-            # columns' real dtypes, matching the other tiers' ``buffer[:0]``.
-            self.sort_strategy = STRATEGY_TOPK
-            for batch in self._pipeline_batches(pipeline):
-                return names, {
-                    column.name: materialize(
-                        evaluate_batch(column.expression, batch), batch.count
-                    )[:0]
-                    for column in unique_columns
-                }
-            return names, {name: np.zeros(0, dtype=np.float64) for name in names}
-        accumulator = TopKAccumulator(
-            names, sort_plan.keys, limit, self.hints.non_null_columns
-        )
-        for batch in self._pipeline_batches(pipeline):
-            columns = {
-                column.name: materialize(
-                    evaluate_batch(column.expression, batch), batch.count
-                )
-                for column in unique_columns
-            }
-            accumulator.push(columns, batch.count)
-        length, columns, strategy = accumulator.finish()
-        self.counters.rows_sorted += accumulator.rows_sorted
-        self.counters.output_rows += length
-        self.sort_strategy = strategy
+        pipeline = compiler.compile(unwrap_sort(plan).child)
+        names, columns = self._run_root(root, pipeline)
+        self.sort_strategy = root.sort_strategy
+        compiler.store_scan_caches()
         return names, columns
 
-    def _execute_nest(
-        self, plan: PhysNest
-    ) -> tuple[list[str], dict[str, Any], PipelineCompiler]:
-        names = [column.name for column in plan.columns]
-        group_key_fingerprints, aggregates = collect_nest_aggregates(plan)
-        compiler, pipeline = self._compile(plan.child)
+    # -- execution -------------------------------------------------------------
 
-        key_chunks: list[list[np.ndarray]] = [[] for _ in plan.group_by]
-        argument_chunks: dict[tuple, list[np.ndarray]] = {
-            aggregate.fingerprint(): []
-            for aggregate in aggregates
-            if aggregate.argument is not None
+    def _run_root(self, root: "_Root", pipeline: CompiledPipeline) -> Any:
+        """Drive ``pipeline`` into ``root``: per morsel on the worker pool
+        when the driving scan fans out, else as one partial in this thread."""
+        morsels = self._plan_morsels(pipeline)
+        if morsels is None:
+            state = root.new_state()
+            if not pipeline.always_empty:
+                stream = pipeline.source.iter_batches(self.counters, self.batch_size)
+                _drain(root, state, pipeline, stream, self.counters)
+            return root.merge([root.finish_morsel(state, self.counters)], self.counters)
+
+        def run_morsel(morsel: Morsel, worker_id: int):
+            if self.context is not None:
+                self.context.check()
+            counters = PipelineCounters()
+            state = root.new_state()
+            stream = pipeline.source.iter_range(
+                morsel.start, morsel.stop, counters, self.batch_size
+            )
+            _drain(root, state, pipeline, stream, counters)
+            if self.context is not None:
+                self.context.count("morsels")
+            return root.finish_morsel(state, counters), counters
+
+        results = self._pool.run(morsels, run_morsel, context=self.context)
+        self.fanned_out = True
+        self.morsels_dispatched += len(morsels)
+        self.morsels_stolen += self._pool.last_stolen
+        for _, counters in results:
+            self.counters.merge(counters)
+        return root.merge([partial for partial, _ in results], self.counters)
+
+    def _plan_morsels(self, pipeline: CompiledPipeline) -> list[Morsel] | None:
+        """The driving scan's morsels, or ``None`` when nothing fans out."""
+        source = pipeline.source
+        if self.num_workers <= 1 or pipeline.always_empty or not source.splittable:
+            return None
+        morsels = plan_morsels(source.total_rows, self.batch_size, self.num_workers)
+        return morsels if len(morsels) > 1 else None
+
+    def _materialize(self, pipeline: CompiledPipeline) -> Batch:
+        """Materialize a join build side.  Morsel results concatenate in
+        morsel order, so every radix-table position matches a serial build."""
+        return self._run_root(_CollectRoot(), pipeline)
+
+    def _build_table(self, keys: np.ndarray) -> radix.RadixTable:
+        """Radix-table build.  With workers, the hash partitioning runs once
+        and the per-partition sort-clustering fans out; the resulting table
+        is identical to a serial build."""
+        keys = np.asarray(keys)
+        if self.num_workers <= 1 or len(keys) < MIN_PARALLEL_BUILD_KEYS:
+            return radix.build_radix_table(keys)
+        radix.reject_missing_keys(keys, "join")
+        num_partitions = 1 << radix.DEFAULT_RADIX_BITS
+        assignment = radix.partition_assignment(keys, num_partitions)
+        position_lists = [
+            np.nonzero(assignment == partition_id)[0]
+            for partition_id in range(num_partitions)
+        ]
+        partitions = self._pool.run(
+            position_lists,
+            lambda positions, worker_id: radix.cluster_partition(keys, positions),
+            context=self.context,
+        )
+        self.fanned_out = True
+        return radix.RadixTable(
+            partitions=partitions,
+            num_partitions=num_partitions,
+            build_size=len(keys),
+        )
+
+
+def _drain(
+    root: "_Root",
+    state: Any,
+    pipeline: CompiledPipeline,
+    stream: Iterator[Batch],
+    counters: PipelineCounters,
+) -> None:
+    """Feed a scan batch stream through the pipeline into one root state."""
+    for batch in stream:
+        out = pipeline.process(batch, counters)
+        if out is not None:
+            root.update(state, out, counters)
+            if root.saturated(state):
+                # The partial is complete (e.g. a pure LIMIT prefix); stop
+                # scanning the remaining rows.
+                break
+
+
+# ---------------------------------------------------------------------------
+# Plan roots: partial states and their ordered merges
+# ---------------------------------------------------------------------------
+
+
+def _make_root(
+    plan: PhysicalPlan,
+    params: Mapping[int | str, object] | None,
+    hints: NullabilityHints,
+) -> "_Root":
+    sort_plan = plan if isinstance(plan, PhysSort) else None
+    plan = unwrap_sort(plan)
+    if isinstance(plan, PhysNest):
+        return _NestRoot(plan, params)
+    if not isinstance(plan, PhysReduce):
+        raise ExecutionError(
+            f"the plan root must be Reduce or Nest, got {plan.describe()}"
+        )
+    if any(contains_aggregate(column.expression) for column in plan.columns):
+        return _GlobalAggregateRoot(plan, params, hints)
+    limit = resolve_limit(sort_plan.limit, params) if sort_plan is not None else None
+    if sort_plan is not None and sort_plan.keys and limit != 0:
+        return _SortedProjectionRoot(
+            plan, sort_plan.keys, limit, hints.non_null_columns
+        )
+    # Pure LIMIT, and ORDER BY ... LIMIT 0 (which produces nothing), bound
+    # the emitted prefix; the engine's epilogue slices the exact rows.
+    return _ProjectionRoot(plan, limit)
+
+
+class _Root:
+    """Protocol of a plan root.
+
+    ``new_state``/``update``/``finish_morsel`` build one partial over one
+    batch stream — a morsel inside a worker, or the whole scan in the
+    calling thread; ``merge`` runs on the calling thread and consumes the
+    partials in morsel order.  A single partial is returned as it is, so
+    serial execution runs the serial kernels and reports their counters.
+    """
+
+    #: The sort kernel the root ran (``None`` when it sorted nothing).
+    sort_strategy: str | None = None
+
+    def new_state(self) -> Any:
+        raise NotImplementedError
+
+    def update(self, state: Any, batch: Batch, counters: PipelineCounters) -> None:
+        raise NotImplementedError
+
+    def saturated(self, state: Any) -> bool:
+        """Whether this partial is complete — further batches cannot change
+        it, so the scan feeding it may stop."""
+        return False
+
+    def finish_morsel(self, state: Any, counters: PipelineCounters) -> Any:
+        return state
+
+    def merge(self, partials: list, counters: PipelineCounters) -> Any:
+        raise NotImplementedError
+
+
+class _CollectRoot(_Root):
+    """A join build side: the pipeline's output batches, concatenated."""
+
+    def new_state(self) -> list[Batch]:
+        return []
+
+    def update(self, state: list, batch: Batch, counters: PipelineCounters) -> None:
+        state.append(batch)
+
+    def merge(self, partials: list, counters: PipelineCounters) -> Batch:
+        return concat_batches([batch for batches in partials for batch in batches])
+
+
+class _ProjectionRoot(_Root):
+    """Reduce without aggregates: column chunks, concatenated in morsel
+    order (bit-identical to a serial scan).
+
+    ``limit`` (pure LIMIT, or ``ORDER BY ... LIMIT 0``) truncates each
+    partial to its first ``limit`` rows: any morsel-order prefix of the
+    result only needs a prefix of every morsel.
+    """
+
+    def __init__(self, plan: PhysReduce, limit: int | None = None):
+        self.names = [column.name for column in plan.columns]
+        self.unique_columns = unique_output_columns(plan.columns)
+        self.limit = limit
+
+    def new_state(self) -> dict:
+        return {"chunks": {name: [] for name in self.names}, "total": 0}
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        for column in self.unique_columns:
+            state["chunks"][column.name].append(
+                materialize(evaluate_batch(column.expression, batch), batch.count)
+            )
+        state["total"] += batch.count
+
+    def saturated(self, state: dict) -> bool:
+        # LIMIT 0 still takes one batch, so the truncated empty buffers
+        # keep their dtypes.
+        return self.limit is not None and state["total"] >= max(self.limit, 1)
+
+    def finish_morsel(self, state: dict, counters: PipelineCounters) -> dict:
+        if self.limit is not None and state["total"] > self.limit:
+            truncated = {
+                name: [concat_chunks(state["chunks"][name])[: self.limit]]
+                for name in self.names
+            }
+            state = {"chunks": truncated, "total": self.limit}
+        return state
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        total = sum(partial["total"] for partial in partials)
+        counters.output_rows += total if self.limit is None else min(total, self.limit)
+        columns = {
+            name: concat_chunks(
+                [chunk for partial in partials for chunk in partial["chunks"][name]]
+            )
+            for name in self.names
         }
-        total = 0
-        for batch in self._pipeline_batches(pipeline):
-            for index, expression in enumerate(plan.group_by):
-                key_chunks[index].append(
-                    materialize(evaluate_batch(expression, batch), batch.count)
-                )
-            for aggregate in aggregates:
-                if aggregate.argument is None:
-                    continue
-                argument_chunks[aggregate.fingerprint()].append(
-                    materialize(
-                        evaluate_batch(aggregate.argument, batch), batch.count
-                    )
-                )
-            total += batch.count
-        if total == 0:
-            return names, {name: [] for name in names}, compiler
+        return self.names, columns
 
-        key_arrays = [np.concatenate(chunks) for chunks in key_chunks]
+
+class _SortedProjectionRoot(_Root):
+    """Projection under ORDER BY (and optionally a positive LIMIT): sorted
+    runs, merged deterministically.
+
+    Under a LIMIT each partial streams its batches through the bounded
+    :class:`TopKAccumulator`, so at most K rows per morsel reach the merge.
+    Without one, a run is sorted where it is built when its single key is
+    merge-encodable, and handed over raw otherwise (multi-key and string
+    runs are re-sorted as one concatenation).  Several runs meet in the
+    k-way merge of :func:`repro.core.sort.merge_sorted_runs`, whose ties
+    resolve in morsel order — the output is identical to a stable sort of
+    the morsel-ordered concatenation at any worker count.
+    """
+
+    def __init__(
+        self,
+        plan: PhysReduce,
+        keys: list[tuple[str, bool]],
+        limit: int | None,
+        non_null: frozenset[str] = frozenset(),
+    ):
+        self.projection = _ProjectionRoot(plan)
+        self.names = self.projection.names
+        self.keys = list(keys)
+        self.limit = limit
+        self.non_null = frozenset(non_null)
+
+    def new_state(self) -> dict:
+        if self.limit is not None:
+            return {
+                "topk": TopKAccumulator(
+                    self.names, self.keys, self.limit, self.non_null
+                )
+            }
+        return self.projection.new_state()
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        accumulator = state.get("topk")
+        if accumulator is None:
+            self.projection.update(state, batch, counters)
+            return
+        columns = {
+            column.name: materialize(
+                evaluate_batch(column.expression, batch), batch.count
+            )
+            for column in self.projection.unique_columns
+        }
+        accumulator.push(columns, batch.count)
+
+    def finish_morsel(
+        self, state: dict, counters: PipelineCounters
+    ) -> tuple[int, dict[str, Any], str | None]:
+        """One run: ``(length, columns, strategy)``, strategy ``None`` for a
+        run handed over unsorted."""
+        accumulator = state.get("topk")
+        if accumulator is not None:
+            length, columns, strategy = accumulator.finish()
+            counters.rows_sorted += accumulator.rows_sorted
+            return length, columns, strategy
+        length = state["total"]
+        columns = {
+            name: concat_chunks(state["chunks"][name]) for name in self.names
+        }
+        if length == 0 or len(self.keys) > 1 or not merge_encodable(
+            columns[self.keys[0][0]]
+        ):
+            return length, columns, None
+        return self._sort(length, columns, counters)
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        runs = [partial for partial in partials if partial[0] > 0] or partials[:1]
+        if len(runs) == 1:
+            length, columns, strategy = runs[0]
+            if strategy is None:
+                length, columns, strategy = self._sort(length, columns, counters)
+        else:
+            length, columns, strategy = merge_sorted_runs(
+                self.names,
+                [(length, columns) for length, columns, _ in runs],
+                self.keys,
+                self.limit,
+                self.non_null,
+            )
+            if strategy != STRATEGY_PARALLEL_MERGE:
+                # The merge re-sorted the concatenation.
+                counters.rows_sorted += sum(length for length, _, _ in runs)
+        counters.output_rows += length
+        self.sort_strategy = strategy
+        return self.names, columns
+
+    def _sort(
+        self, length: int, columns: dict[str, Any], counters: PipelineCounters
+    ) -> tuple[int, dict[str, Any], str | None]:
+        counters.rows_sorted += length
+        return sort_columns(
+            self.names, length, columns, self.keys, self.limit, self.non_null
+        )
+
+
+class _GlobalAggregateRoot(_Root):
+    """Reduce with aggregates: one running accumulator per partial, folded
+    in morsel order and finalized into the single output row."""
+
+    def __init__(
+        self,
+        plan: PhysReduce,
+        params: Mapping[int | str, object] | None,
+        hints: NullabilityHints,
+    ):
+        self.plan = plan
+        self.params = params
+        self.hints = hints
+        self.names = [column.name for column in plan.columns]
+
+    def new_state(self) -> "_BatchAggregates":
+        return _BatchAggregates(
+            self.plan.columns, self.hints.non_null_aggregate_args
+        )
+
+    def update(
+        self, state: "_BatchAggregates", batch: Batch, counters: PipelineCounters
+    ) -> None:
+        state.update(batch)
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        accumulators = partials[0]
+        for partial in partials[1:]:
+            accumulators.merge(partial)
+        values = accumulators.finalize()
+        counters.output_rows += 1
+        finish_env = parameter_env(self.params)
+        columns: dict[str, Any] = {}
+        for column in self.plan.columns:
+            final = replace_aggregates(column.expression, literal_results(values))
+            columns[column.name] = [_python_value(final.evaluate(finish_env))]
+        return self.names, columns
+
+
+@dataclass
+class _GroupPartial:
+    """The groups of one partial, with their partial aggregates."""
+
+    grouping: radix.GroupingResult
+    #: fingerprint → per-group result column; ``avg`` is carried as its
+    #: ``{"sum": ..., "count": ...}`` parts and divided once at the end.
+    aggregates: dict[tuple, Any]
+
+
+class _NestRoot(_Root):
+    """Group-by: radix grouping + aggregates per partial, then — for several
+    partials — a second-level grouped merge over the union of their groups.
+
+    The merge functions are the aggregate monoids: partial counts are summed,
+    partial sums summed, partial extrema re-reduced, partial booleans
+    re-combined.  Group output order is the lexicographic key order
+    ``radix_group`` produces, whatever the number of partials.
+    """
+
+    #: How a partial aggregate column is re-reduced across partials.
+    _MERGE_FUNCS = {
+        "count": "sum",
+        "sum": "sum",
+        "min": "min",
+        "max": "max",
+        "and": "and",
+        "or": "or",
+    }
+
+    def __init__(
+        self, plan: PhysNest, params: Mapping[int | str, object] | None
+    ):
+        self.plan = plan
+        self.params = params
+        self.names = [column.name for column in plan.columns]
+        #: fingerprint → group-key index, and the unique aggregate calls.
+        self.group_key_fingerprints = {
+            expression.fingerprint(): index
+            for index, expression in enumerate(plan.group_by)
+        }
+        self.aggregates: list[AggregateCall] = []
+        seen: set[tuple] = set()
+        for column in plan.columns:
+            if column.expression.fingerprint() in self.group_key_fingerprints:
+                continue
+            if not contains_aggregate(column.expression):
+                raise VectorizationError(
+                    f"group-by output column {column.name!r} is neither a group "
+                    "key nor an aggregate; served by the Volcano interpreter"
+                )
+            for aggregate in iter_aggregates(column.expression):
+                if aggregate.fingerprint() not in seen:
+                    seen.add(aggregate.fingerprint())
+                    self.aggregates.append(aggregate)
+
+    def new_state(self) -> dict:
+        return {
+            "key_chunks": [[] for _ in self.plan.group_by],
+            "argument_chunks": {
+                aggregate.fingerprint(): []
+                for aggregate in self.aggregates
+                if aggregate.argument is not None
+            },
+            "total": 0,
+        }
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        for index, expression in enumerate(self.plan.group_by):
+            state["key_chunks"][index].append(
+                materialize(evaluate_batch(expression, batch), batch.count)
+            )
+        for aggregate in self.aggregates:
+            if aggregate.argument is None:
+                continue
+            state["argument_chunks"][aggregate.fingerprint()].append(
+                materialize(evaluate_batch(aggregate.argument, batch), batch.count)
+            )
+        state["total"] += batch.count
+
+    def finish_morsel(
+        self, state: dict, counters: PipelineCounters
+    ) -> _GroupPartial | None:
+        if state["total"] == 0:
+            return None  # an empty partial contributes no groups
+        key_arrays = [np.concatenate(chunks) for chunks in state["key_chunks"]]
         # radix_group raises VectorizationError for keys containing missing
         # values, which the engine turns into a Volcano fallback.
         grouping = radix.radix_group(key_arrays)
-        self.counters.groups_built += grouping.num_groups
-        self.counters.output_rows += grouping.num_groups
-
-        aggregate_results: dict[tuple, np.ndarray] = {}
-        for aggregate in aggregates:
+        aggregates: dict[tuple, Any] = {}
+        for aggregate in self.aggregates:
             fingerprint = aggregate.fingerprint()
             values = (
-                np.concatenate(argument_chunks[fingerprint])
+                np.concatenate(state["argument_chunks"][fingerprint])
                 if aggregate.argument is not None
                 else None
             )
-            aggregate_results[fingerprint] = radix.group_aggregate(
-                aggregate.func, grouping.group_ids, grouping.num_groups, values
-            )
-        columns = finish_nest_columns(
-            plan, group_key_fingerprints, grouping, aggregate_results,
-            params=self.params,
+            if aggregate.func == "avg":
+                aggregates[fingerprint] = {
+                    part: radix.group_aggregate(
+                        part, grouping.group_ids, grouping.num_groups, values
+                    )
+                    for part in ("sum", "count")
+                }
+            else:
+                aggregates[fingerprint] = radix.group_aggregate(
+                    aggregate.func, grouping.group_ids, grouping.num_groups, values
+                )
+        return _GroupPartial(grouping, aggregates)
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        partials = [partial for partial in partials if partial is not None]
+        if not partials:
+            return self.names, {name: [] for name in self.names}
+        if len(partials) == 1:
+            grouping = partials[0].grouping
+            merged = partials[0].aggregates
+        else:
+            grouping, merged = self._merge_groups(partials)
+        aggregate_results: dict[tuple, np.ndarray] = {}
+        for aggregate in self.aggregates:
+            fingerprint = aggregate.fingerprint()
+            result = merged[fingerprint]
+            if aggregate.func == "avg":
+                result = radix.average(result["sum"], result["count"])
+            aggregate_results[fingerprint] = result
+        counters.groups_built += grouping.num_groups
+        counters.output_rows += grouping.num_groups
+        return self.names, self._finish_columns(grouping, aggregate_results)
+
+    def _merge_groups(
+        self, partials: list[_GroupPartial]
+    ) -> tuple[radix.GroupingResult, dict[tuple, Any]]:
+        grouping = radix.radix_group(
+            [
+                np.concatenate(
+                    [partial.grouping.key_arrays[index] for partial in partials]
+                )
+                for index in range(len(self.plan.group_by))
+            ]
         )
-        return names, columns, compiler
+
+        def regroup(func: str, columns: list[np.ndarray]) -> np.ndarray:
+            return radix.group_aggregate(
+                self._MERGE_FUNCS[func],
+                grouping.group_ids,
+                grouping.num_groups,
+                np.concatenate(columns),
+            )
+
+        merged: dict[tuple, Any] = {}
+        for aggregate in self.aggregates:
+            fingerprint = aggregate.fingerprint()
+            columns = [partial.aggregates[fingerprint] for partial in partials]
+            if aggregate.func == "avg":
+                merged[fingerprint] = {
+                    part: regroup("sum", [column[part] for column in columns])
+                    for part in ("sum", "count")
+                }
+            else:
+                merged[fingerprint] = regroup(aggregate.func, columns)
+        return grouping, merged
+
+    def _finish_columns(
+        self,
+        grouping: radix.GroupingResult,
+        aggregate_results: dict[tuple, np.ndarray],
+    ) -> dict[str, Any]:
+        """Assemble the output columns from grouped keys and per-group
+        aggregate result columns.
+
+        Each aggregate's result column is exposed under a synthetic binding,
+        then the heads are finished with the vectorized evaluator — this
+        keeps arithmetic/logical combinations of aggregates (e.g. ``max(x) >
+        5 and min(x) > 0``) on the batch path; the bound parameters keep
+        query parameters in the heads (e.g. ``sum(x) * :rate``) evaluable.
+        """
+        group_batch = Batch(count=grouping.num_groups, params=self.params)
+        results: dict[tuple, Expression] = {}
+        for index, (fingerprint, values) in enumerate(aggregate_results.items()):
+            reference = FieldRef(_AGG_BINDING, (f"agg_{index}",))
+            group_batch.columns[(_AGG_BINDING, reference.path)] = np.asarray(values)
+            results[fingerprint] = reference
+        columns: dict[str, Any] = {}
+        for column in self.plan.columns:
+            fingerprint = column.expression.fingerprint()
+            if fingerprint in self.group_key_fingerprints:
+                index = self.group_key_fingerprints[fingerprint]
+                columns[column.name] = grouping.key_arrays[index]
+                continue
+            final = replace_aggregates(column.expression, results)
+            columns[column.name] = materialize(
+                evaluate_batch(final, group_batch), grouping.num_groups
+            )
+        return columns
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,20 @@
-"""Morsel-driven parallel execution subsystem (the ``vectorized-parallel``
-tier).
+"""Morsel scheduling primitives of the vectorized executor.
 
-Splits the driving scan of a compiled batch pipeline into batch-aligned
-morsels, dispatches them to a pool of worker threads through a work-stealing
-queue, and merges per-morsel partial results deterministically (in morsel
-order).  See :mod:`repro.core.parallel.executor` for the execution model and
-:mod:`repro.core.parallel.scheduler` for the scheduling model.
+With ``num_workers > 1`` the vectorized executor
+(:mod:`repro.core.executor.vectorized`) splits its driving scan into
+batch-aligned morsels (:mod:`repro.core.parallel.morsels`), dispatches them
+to a pool of worker threads through a work-stealing queue
+(:mod:`repro.core.parallel.scheduler`), and merges the per-morsel partials
+of its plan root in morsel order.
 """
 
-from repro.core.parallel.executor import (
-    ParallelVectorizedExecutor,
-    precheck_driving_scan,
-)
 from repro.core.parallel.morsels import DEFAULT_MORSEL_ROWS, Morsel, plan_morsels
 from repro.core.parallel.scheduler import WorkerPool, WorkStealingQueue
 
 __all__ = [
     "DEFAULT_MORSEL_ROWS",
     "Morsel",
-    "ParallelVectorizedExecutor",
     "WorkStealingQueue",
     "WorkerPool",
     "plan_morsels",
-    "precheck_driving_scan",
 ]

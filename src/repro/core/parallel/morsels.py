@@ -1,10 +1,10 @@
-"""Morsel planning for the parallel vectorized tier.
+"""Morsel planning for the vectorized executor's parallel runs.
 
 A *morsel* is a contiguous range of global scan rows — the unit of work the
 scheduler hands to workers (the batch analogue of HyPer-style morsel-driven
 parallelism).  Morsel boundaries are always multiples of the executor's batch
 size, so a pipeline running over morsels sees exactly the batch boundaries
-the serial executor would: per-batch operator output (join probe order
+a serial run would: per-batch operator output (join probe order
 included) is bit-for-bit the same, and collecting morsel results in index
 order reproduces the serial row order.
 """

@@ -1,4 +1,4 @@
-"""Work-stealing scheduler for the parallel vectorized tier.
+"""Work-stealing scheduler for the vectorized executor's parallel runs.
 
 The executor enqueues its work items (morsels, build-side morsels, radix
 partitions) into a :class:`WorkStealingQueue`: every worker owns a deque that
@@ -14,8 +14,8 @@ NumPy slicing, predicate kernels, radix partition sorts — releases the GIL,
 and threads share the memory-mapped inputs, the structural indexes and the
 materialized join build sides without any serialization.  Results are
 returned **in submission order**, which is what makes parallel execution
-deterministic: downstream merges see morsel results exactly as the serial
-executor would have produced them, regardless of which worker ran what.
+deterministic: downstream merges see morsel results in the order a serial
+run would have produced them, regardless of which worker ran what.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class WorkerPool:
     """Execute a task function over items with work-stealing worker threads.
 
     ``run`` returns results **in item order** (the order-preserving collector
-    of the parallel tier); the first exception raised by any worker cancels
+    of parallel execution); the first exception raised by any worker cancels
     the remaining work and is re-raised on the calling thread, so executor
-    fallbacks (:class:`VectorizationError`) propagate exactly as they do on
-    the serial tiers.  When several workers fail concurrently the first
+    fallbacks (:class:`VectorizationError`) propagate exactly as they do in a
+    serial run.  When several workers fail concurrently the first
     exception is the one raised, with the complete list attached as its
     ``errors`` attribute so no failure vanishes.
 

@@ -300,7 +300,7 @@ class PhysSort(PhysicalPlan):
     Execution is strategy-specialized per tier (see
     :mod:`repro.core.sort`): dtype-specialized ``np.lexsort`` kernels, a
     bounded streaming top-K when a LIMIT accompanies the sort, per-morsel
-    sorted runs merged k-way on the parallel tier, and a boxed-comparator
+    sorted runs merged k-way in parallel runs, and a boxed-comparator
     fallback for object columns the encoders cannot represent.
     """
 
@@ -328,8 +328,8 @@ class PhysSort(PhysicalPlan):
         """(strategy, why) as planned — the data-independent choice.
 
         Execution refines it per key dtype: object columns demote to the
-        comparator fallback, and the parallel tier upgrades single-key sorts
-        to per-morsel runs plus a k-way merge.
+        comparator fallback, and a vectorized run that fans out over workers
+        upgrades single-key sorts to per-morsel runs plus a k-way merge.
         """
         if self.keys and self.limit is not None:
             return (

@@ -514,7 +514,7 @@ def concat_chunks(chunks: list) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Sorted runs and the deterministic k-way merge (parallel tier)
+# Sorted runs and the deterministic k-way merge (parallel execution)
 # ---------------------------------------------------------------------------
 
 
@@ -610,7 +610,7 @@ def merge_sorted_runs(
     multi-key, string/object keys — need not be pre-sorted, since the
     concatenation is re-sorted with the regular kernels.  Ties across runs
     resolve in run order, so the output is identical to a stable sort of the
-    morsel-ordered concatenation — bit-identical to the serial tier, at any
+    morsel-ordered concatenation — bit-identical to a serial run, at any
     worker count.
 
     Single numeric/boolean keys are merged with a vectorized k-way merge
@@ -636,13 +636,6 @@ def merge_sorted_runs(
         length, data = _slice_limit(length, data, limit)
         return length, data, None
     encoded = _mergeable_single_key(runs, order_by, non_null)
-    if len(runs) == 1 and encoded is not None:
-        # A single merge-encodable run is pre-sorted by contract; runs on
-        # the re-sort path may have been handed over raw, so they take the
-        # sort below even when alone.
-        length, data = runs[0]
-        sliced = _slice_limit(length, data, limit)
-        return (*sliced, STRATEGY_PARALLEL_MERGE)
     if encoded is None:
         length, data = _concat_runs(names, runs)
         return sort_columns(names, length, data, order_by, limit, non_null)

@@ -9,7 +9,7 @@ the codegen runtime keeps its original bound methods.  With tracing on:
   batch counts,
 * :class:`TracedScan` wraps the pipeline's ``ScanOperator``, timing the time
   spent *inside* the plug-in's batch stream and summing produced bytes —
-  the parallel tier's workers stream disjoint morsel ranges through the same
+  parallel vectorized workers stream disjoint morsel ranges through the same
   wrapper, so their per-morsel flushes aggregate into one morsel-merged span,
 * :func:`instrument_runtime` rebinds the codegen ``QueryRuntime`` kernels
   (``scan``/``unnest``/``radix_join``/…) with span-recording closures.

@@ -11,7 +11,7 @@ unwrapped stage objects as an untraced engine.  When enabled, one
   engine's own control flow, and
 * **operator spans** — one per physical operator, with rows-in/rows-out,
   batch and byte attributes.  Operator spans are *accumulators*: the batch
-  tiers add to them once per batch, the parallel tier's workers add to the
+  tiers add to them once per batch, parallel vectorized workers add to the
   same accumulator from many threads (a lock makes that safe — contention is
   per batch, not per row), the Volcano tier flushes one locally-accumulated
   total per iterator, and the codegen runtime records one entry per kernel
@@ -105,8 +105,8 @@ class SpanAccumulator:
 
     Instrumentation wrappers call :meth:`add` (batch tiers: once per batch;
     Volcano: once per exhausted iterator; codegen: once per kernel call).
-    The lock is uncontended on the serial tiers and per-batch on the
-    parallel tier, so its cost disappears into the batch work it measures.
+    The lock is uncontended in serial runs and per-batch in parallel ones,
+    so its cost disappears into the batch work it measures.
     """
 
     __slots__ = (

@@ -147,9 +147,9 @@ class InputPlugin(ABC):
     field_access_cost: float = 1.0
 
     #: Whether :meth:`scan_batch_ranges` has a genuinely splittable
-    #: implementation.  The morsel-driven parallel tier only splits scans of
-    #: plug-ins that set this to ``True``; everything else transparently runs
-    #: on the serial tiers.
+    #: implementation.  The vectorized tier only splits scans of plug-ins
+    #: that set this to ``True`` into morsels; everything else runs in the
+    #: calling thread.
     supports_scan_ranges: bool = False
 
     def __init__(self, memory: MemoryManager):
@@ -160,7 +160,7 @@ class InputPlugin(ABC):
         #: the number of scan streams / kernel calls served.  Updated through
         #: :meth:`record_scan` from the engine-side call sites (the batch
         #: tiers' scan streams and the codegen runtime), one flush per
-        #: stream, under a lock (the parallel tier records from workers).
+        #: stream, under a lock (parallel runs record from workers).
         self.scan_seconds = 0.0
         self.scan_bytes = 0
         self.scan_calls = 0
@@ -348,8 +348,8 @@ class InputPlugin(ABC):
         """Total number of scannable rows, or ``None`` when counting would
         require a full pass over the source.
 
-        A known row count is what lets the morsel-driven parallel tier split
-        a scan into independent row ranges up front; plug-ins backed by a
+        A known row count is what lets the vectorized tier split a scan
+        into independent morsel row ranges up front; plug-ins backed by a
         structural index or binary layout know it for free.
         """
         return None
@@ -365,12 +365,12 @@ class InputPlugin(ABC):
         """Yield the requested fields for global rows ``[start, stop)`` as
         columnar batches (OIDs carry the global row positions).
 
-        This is the *splittable* access path of the morsel-driven parallel
-        tier: disjoint ranges must be servable concurrently from different
-        threads without touching shared mutable plug-in state.  Plug-ins
-        that implement it natively set :attr:`supports_scan_ranges`; the
-        default refuses, which makes the parallel tier fall back to the
-        serial vectorized executor.
+        This is the *splittable* access path of morsel-driven parallel
+        execution: disjoint ranges must be servable concurrently from
+        different threads without touching shared mutable plug-in state.
+        Plug-ins that implement it natively set :attr:`supports_scan_ranges`;
+        the default refuses, and the vectorized tier then scans the dataset
+        in the calling thread.
         """
         raise PluginError(
             f"format {self.format_name!r} does not support range-partitioned "

@@ -126,7 +126,7 @@ class BinaryColumnPlugin(InputPlugin):
         stop: int,
         batch_size: int = 4096,
     ):
-        """Range-partitioned scan for the morsel-driven parallel tier: each
+        """Range-partitioned scan for morsel-driven parallel execution: each
         batch is a zero-copy slice of the memory-mapped column arrays, so
         disjoint ranges are trivially safe to serve concurrently."""
         table = self._table(dataset)

@@ -256,7 +256,7 @@ class CsvPlugin(InputPlugin):
         stop: int,
         batch_size: int = 4096,
     ):
-        """Range-partitioned scan for the morsel-driven parallel tier: the
+        """Range-partitioned scan for morsel-driven parallel execution: the
         positional structural index makes any row range directly addressable,
         so disjoint ranges convert concurrently without shared state."""
         state = self._state(dataset)

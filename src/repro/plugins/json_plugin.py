@@ -199,7 +199,7 @@ class JsonPlugin(InputPlugin):
         stop: int,
         batch_size: int = 4096,
     ):
-        """Range-partitioned scan for the morsel-driven parallel tier: the
+        """Range-partitioned scan for morsel-driven parallel execution: the
         structural index addresses any object range directly, so disjoint
         ranges extract concurrently without shared state."""
         state = self._state(dataset)

@@ -29,9 +29,11 @@ Error translation is table-driven (:mod:`repro.serve.mapping`,
 rejections as 400 — the body always carries the engine's own error code.
 
 Connections are ``HTTP/1.0`` (one request per connection, no keep-alive):
-handler threads exit as soon as the response is written, which keeps
-``stop()`` — ``shutdown()`` + ``server_close()`` with ``block_on_close`` —
-a bounded join of everything the server ever spawned.
+handler threads exit as soon as the response is written, and a socket
+timeout (:data:`IDLE_TIMEOUT_SECONDS`) ends the thread of a client that
+stalls mid-request, which keeps ``stop()`` — ``shutdown()`` +
+``server_close()`` with ``block_on_close`` — a bounded join of everything
+the server ever spawned.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
+#: Seconds a connection may sit in one socket read or write before its
+#: handler thread gives up on it.  This bounds how long ``stop()`` waits for
+#: a client that connects and then sends nothing.
+IDLE_TIMEOUT_SECONDS = 10.0
+
 
 class _ProteusHTTPServer(ThreadingMixIn, HTTPServer):
     """Threaded listener; joins every handler thread on ``server_close``."""
@@ -82,6 +89,11 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.0"
 
     # -- plumbing ----------------------------------------------------------
+
+    def setup(self) -> None:
+        # Read per connection, so the module constant stays the one knob.
+        self.timeout = IDLE_TIMEOUT_SECONDS
+        super().setup()
 
     def handle(self) -> None:
         # Name the per-connection thread so shutdown leak checks (and the

@@ -160,6 +160,16 @@ def make_engine(paths: dict[str, str], **kwargs) -> ProteusEngine:
     return engine
 
 
+#: Label of the per-tier test configurations that run the vectorized tier
+#: over several workers; its queries report the tier ``"vectorized"``.
+PARALLEL_CONFIG = "vectorized-parallel"
+
+
+def served_tier(label: str) -> str:
+    """The tier a query reports under the test configuration ``label``."""
+    return "vectorized" if label == PARALLEL_CONFIG else label
+
+
 @pytest.fixture
 def engine(paths) -> ProteusEngine:
     return make_engine(paths)

@@ -133,7 +133,6 @@ CONFIGS = [
     {"enable_codegen": False, "parallel_workers": 2, "vectorized_batch_size": 16},
     {"enable_codegen": False, "parallel_workers": 8, "vectorized_batch_size": 16},
     {"enable_codegen": False, "parallel_workers": 2},  # single morsel
-    {"enable_codegen": False, "enable_parallel": False, "parallel_workers": 4},
 ]
 
 
@@ -153,9 +152,11 @@ def test_parameterized_query_verdicts(paths):
         paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
     )
     prepared = engine.prepare("SELECT id FROM items_csv WHERE price > ?")
-    assert prepared.analysis.predicted_tier == "vectorized-parallel"
+    assert prepared.analysis.predicted_tier == "vectorized"
     for value in (1.0, 3.0, 100.0):
-        assert prepared.execute(value).tier == "vectorized-parallel"
+        result = prepared.execute(value)
+        assert result.tier == "vectorized"
+        assert result.profile.morsels_dispatched > 1
 
 
 def test_verdict_codes_for_declines(paths):
@@ -166,7 +167,7 @@ def test_verdict_codes_for_declines(paths):
     ).analysis
     declines = analysis.decline_reasons()
     assert declines["codegen"].startswith("[TIER002]")
-    assert analysis.predicted_tier == "vectorized-parallel"
+    assert analysis.predicted_tier == "vectorized"
 
     # Disabled tiers carry TIER001 with the exact configuration wording.
     serial = make_engine(paths, enable_codegen=False, enable_vectorized=False)
@@ -177,22 +178,25 @@ def test_verdict_codes_for_declines(paths):
 
 
 def test_unsplittable_scan_and_single_morsel_codes(paths):
-    # Binary row tables cannot be range-split: TIER006.
-    engine = make_engine(
+    """Neither an unsplittable scan nor a single-morsel input is a decline:
+    no code beyond the disabled codegen tier, and the vectorized tier serves
+    both in the calling thread."""
+    # Binary row tables cannot be range-split.
+    unsplittable = make_engine(
         paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
     )
-    analysis = engine.prepare("SELECT id FROM items_rowbin WHERE qty > 1").analysis
-    declines = analysis.decline_reasons()
-    assert declines["vectorized-parallel"].startswith("[TIER006]")
-    assert "not range-splittable" in declines["vectorized-parallel"]
-    assert analysis.predicted_tier == "vectorized"
-    assert engine.query("SELECT id FROM items_rowbin WHERE qty > 1").tier == "vectorized"
-
-    # Default batch size over 120 rows fits one morsel: TIER007.
+    # Default batch size over 120 rows fits one morsel.
     single = make_engine(paths, enable_codegen=False, parallel_workers=2)
-    analysis = single.prepare("SELECT id FROM items_csv WHERE qty > 1").analysis
-    assert analysis.decline_reasons()["vectorized-parallel"].startswith("[TIER007]")
-    assert analysis.predicted_tier == "vectorized"
+    for engine, query in (
+        (unsplittable, "SELECT id FROM items_rowbin WHERE qty > 1"),
+        (single, "SELECT id FROM items_csv WHERE qty > 1"),
+    ):
+        analysis = engine.prepare(query).analysis
+        assert list(analysis.decline_reasons()) == ["codegen"], query
+        assert analysis.predicted_tier == "vectorized", query
+        result = engine.query(query)
+        assert result.tier == "vectorized", query
+        assert result.profile.morsels_dispatched == 0, query
 
 
 def test_outer_join_declines_all_batch_tiers(paths):
@@ -209,7 +213,7 @@ def test_outer_join_declines_all_batch_tiers(paths):
     joins[0].outer = True
     verdicts = engine._verdicts(plan)
     by_tier = {v.tier: v for v in verdicts}
-    for tier in ("codegen", "vectorized-parallel", "vectorized"):
+    for tier in ("codegen", "vectorized"):
         assert not by_tier[tier].serves
         assert by_tier[tier].code == "TIER005"
     assert by_tier["volcano"].serves
@@ -260,15 +264,15 @@ def test_static_declines_recorded_in_profile(paths):
 
 
 def test_explain_shows_schema_and_codes(paths):
-    engine = make_engine(paths)
+    engine = make_engine(paths, enable_codegen=False)
     text = engine.explain(
         "SELECT category, COUNT(*) AS n FROM items_csv GROUP BY category"
     )
     assert "== inferred output schema ==" in text
     assert "category: string" in text
     assert "n: int" in text
-    assert "codegen: serves this plan  <- selected" in text
-    assert "[TIER001]" in text  # the serial parallel tier's decline code
+    assert "vectorized: serves this plan  <- selected" in text
+    assert "[TIER001]" in text  # the disabled codegen tier's decline code
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +352,7 @@ def test_prepared_analysis_exposes_verdicts(paths):
     engine = make_engine(paths)
     analysis = engine.prepare("SELECT id FROM items_csv WHERE qty > 2").analysis
     tiers = [verdict.tier for verdict in analysis.verdicts]
-    assert tiers == ["codegen", "vectorized-parallel", "vectorized", "volcano"]
+    assert tiers == ["codegen", "vectorized", "volcano"]
     assert analysis.verdict("codegen").serves
     assert analysis.verdict("volcano").serves
 
@@ -362,7 +366,8 @@ def test_tier_lint_passes_on_repo():
     assert tier_lint.run(REPO_ROOT) == []
 
 
-def test_tier_lint_flags_unhandled_operator(tmp_path):
+def _copy_lint_inputs(tmp_path):
+    """A scratch repo holding the modules the tier-parity check reads."""
     root = tmp_path / "repo"
     for relative in [
         tier_lint.PHYSICAL_MODULE,
@@ -373,6 +378,11 @@ def test_tier_lint_flags_unhandled_operator(tmp_path):
         target = root / relative
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(source, target)
+    return root
+
+
+def test_tier_lint_flags_unhandled_operator(tmp_path):
+    root = _copy_lint_inputs(tmp_path)
     physical = root / tier_lint.PHYSICAL_MODULE
     physical.write_text(
         physical.read_text(encoding="utf-8")
@@ -384,17 +394,33 @@ def test_tier_lint_flags_unhandled_operator(tmp_path):
     assert all("PhysBogus" in violation for violation in violations)
 
 
+def test_tier_lint_flags_tier_without_executor_mapping(tmp_path, monkeypatch):
+    root = _copy_lint_inputs(tmp_path)
+    capabilities = root / tier_lint.CAPABILITIES_MODULE
+    text = capabilities.read_text(encoding="utf-8")
+    capabilities.write_text(
+        text.replace(
+            "    TIER_VOLCANO: {\n",
+            "    TIER_GHOST: {},\n    TIER_VOLCANO: {\n",
+            1,
+        ),
+        encoding="utf-8",
+    )
+    violations = tier_lint.check_tier_parity(root)
+    assert len(violations) == 1
+    assert "TIER_GHOST" in violations[0]
+    # The reverse: an executor module whose tier has no capability row.
+    monkeypatch.setitem(
+        tier_lint.EXECUTOR_MODULES,
+        "TIER_ORPHAN",
+        tier_lint.EXECUTOR_MODULES["TIER_VOLCANO"],
+    )
+    orphaned = [v for v in tier_lint.check_tier_parity(root) if "TIER_ORPHAN" in v]
+    assert orphaned and "no TIER_ORPHAN row" in orphaned[0]
+
+
 def test_tier_lint_flags_stale_capability_entry(tmp_path):
-    root = tmp_path / "repo"
-    for relative in [
-        tier_lint.PHYSICAL_MODULE,
-        tier_lint.CAPABILITIES_MODULE,
-        *tier_lint.EXECUTOR_MODULES.values(),
-    ]:
-        source = REPO_ROOT / relative
-        target = root / relative
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(source, target)
+    root = _copy_lint_inputs(tmp_path)
     capabilities = root / tier_lint.CAPABILITIES_MODULE
     text = capabilities.read_text(encoding="utf-8")
     capabilities.write_text(

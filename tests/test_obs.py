@@ -3,8 +3,9 @@ cross-tier profile-counter consistency.
 
 The differential tests pin the counter contract the tracing layer reports
 against: ``rows_scanned`` / ``output_rows`` / ``unnest_output_rows`` must be
-*identical* across all four execution tiers for the same query, so a span or
-metric means the same thing no matter which tier served the execution.
+*identical* across every execution tier and worker count for the same query,
+so a span or metric means the same thing no matter which tier served the
+execution.
 """
 
 from __future__ import annotations
@@ -15,22 +16,21 @@ from repro.core.codegen.runtime import ExecutionProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import PHASES, TraceBuilder
 
-from tests.conftest import make_engine
+from tests.conftest import PARALLEL_CONFIG, make_engine, served_tier
 
 # -- differential counter consistency -----------------------------------------
 
-#: Tier name -> engine kwargs forcing that tier to serve.  Small batches and
-#: two workers make the parallel tier actually split work into morsels.
+#: Configuration label -> engine kwargs forcing that tier to serve.  Small
+#: batches and two workers make the vectorized tier split work into morsels.
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-parallel": {
+    PARALLEL_CONFIG: {
         "enable_codegen": False,
         "parallel_workers": 2,
         "vectorized_batch_size": 16,
     },
     "vectorized": {
         "enable_codegen": False,
-        "enable_parallel": False,
         "vectorized_batch_size": 16,
     },
     "volcano": {"enable_codegen": False, "enable_vectorized": False},
@@ -78,7 +78,7 @@ def test_profile_counters_identical_across_tiers(tier_engines, query):
     for tier, engine in tier_engines.items():
         result = engine.query(query)
         assert result.profile is not None
-        assert result.profile.execution_tier == tier, (
+        assert result.profile.execution_tier == served_tier(tier), (
             f"{tier} engine was served by {result.profile.execution_tier}"
         )
         profiles[tier] = result.profile
@@ -179,9 +179,9 @@ def test_tracer_spans_cover_every_tier(paths):
         result = engine.query(
             "SELECT SUM(price) AS s FROM items_json WHERE qty < 7"
         )
-        assert result.profile.execution_tier == tier
+        assert result.profile.execution_tier == served_tier(tier)
         trace = engine.tracer.last()
-        assert trace is not None and trace.tier == tier
+        assert trace is not None and trace.tier == served_tier(tier)
         assert trace.operators, f"{tier} recorded no operator spans"
         total_rows = sum(span.rows_out for span in trace.operators)
         assert total_rows > 0, f"{tier} spans carry no row counts"
@@ -231,7 +231,7 @@ def test_metrics_count_queries_by_tier(paths):
 
 def test_metrics_record_tier_declines_with_codes(paths):
     engine = make_engine(
-        paths, enable_caching=False, enable_codegen=False, enable_parallel=False
+        paths, enable_caching=False, enable_codegen=False
     )
     engine.query("SELECT COUNT(*) FROM items_csv")
     declines = engine.metrics.counter("proteus_tier_declines_total")
@@ -325,7 +325,7 @@ def test_explain_analyze_reports_every_tier(paths, tier):
         "SELECT SUM(price) AS s FROM items_json WHERE qty < 5", analyze=True
     )
     assert "== explain analyze ==" in report
-    assert f"tier: {tier}" in report
+    assert f"tier: {served_tier(tier)}" in report
     assert "== plan: estimated vs actual ==" in report
     assert "est" in report and "actual" in report
     assert "== phases ==" in report

@@ -1,16 +1,16 @@
-"""Tests for the morsel-driven parallel execution subsystem.
+"""Tests for the vectorized tier's morsel-driven parallel execution.
 
 Covers:
 
-* a differential suite asserting the volcano, serial-vectorized and
-  vectorized-parallel tiers return identical rows (nulls, NaN, big ints,
-  ORDER BY, LIMIT, joins, group-bys, unnest, empty morsels) across worker
-  counts 1 / 2 / 8,
+* a differential suite asserting the volcano tier and the vectorized tier
+  at one and at several workers return identical rows (nulls, NaN, big
+  ints, ORDER BY, LIMIT, joins, group-bys, unnest, empty morsels) across
+  worker counts 1 / 2 / 8,
 * determinism: repeated parallel runs return identical row orderings, and
-  integer results are bit-identical to the serial tier,
-* transparent fallback (parallel → serial vectorized → Volcano) for
-  unsplittable scans, single-morsel inputs and non-vectorizable shapes,
-* the vectorized tiers' use of the adaptive cache (hits and
+  integer results are bit-identical to a serial run,
+* no fan-out for unsplittable scans and single-morsel inputs (served in the
+  calling thread), and the Volcano fallback for non-vectorizable shapes,
+* the vectorized tier's use of the adaptive cache (hits and
   materializations),
 * unit coverage of morsel planning, the work-stealing scheduler, the
   partition-parallel radix-table build and the plug-in
@@ -30,7 +30,7 @@ from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.executor import radix
 from repro.core.parallel import Morsel, WorkerPool, WorkStealingQueue, plan_morsels
-from repro.core.parallel.executor import ParallelVectorizedExecutor
+from repro.core.executor.vectorized import VectorizedExecutor
 from repro.storage.binary_format import write_column_table, write_row_table
 
 SAILOR_COUNT = 600
@@ -249,6 +249,8 @@ DIFFERENTIAL_QUERIES = [
     # Empty dataset (zero morsels).
     "SELECT COUNT(*) FROM empty",
     "SELECT id FROM empty WHERE v > 0",
+    # Unsplittable binary-row scan (never fans out).
+    "SELECT rid FROM rowtable WHERE rid > 150 ORDER BY rid DESC LIMIT 7",
 ]
 
 
@@ -261,10 +263,10 @@ def test_three_tiers_return_identical_rows(
     serial = serial_engine.query(query)
     assert serial.tier in ("vectorized", "volcano")
     parallel = parallel_engine.query(query)
-    assert parallel.tier in ("vectorized-parallel", "vectorized", "volcano")
+    assert parallel.tier == serial.tier
     # Volcano orders rows first-seen; the batch tiers may differ — multiset.
     _assert_rows_match(serial.rows, reference.rows, query, ordered=False)
-    # The parallel tier must reproduce the serial tier's order exactly.
+    # A parallel run must reproduce the serial run's order exactly.
     _assert_rows_match(parallel.rows, serial.rows, query)
 
 
@@ -288,7 +290,8 @@ def test_integer_results_are_bit_identical_to_serial(workload_dir, serial_engine
         "SELECT g, MAX(k), SUM(k) FROM bigints GROUP BY g",
     ):
         actual = engine.query(query)
-        assert actual.tier == "vectorized-parallel", query
+        assert actual.tier == "vectorized", query
+        assert actual.profile.morsels_dispatched > 1, query
         assert actual.rows == serial_engine.query(query).rows, query
 
 
@@ -307,9 +310,9 @@ def test_repeated_parallel_runs_are_deterministic(workload_dir):
 
 def test_parallel_tier_attribution_and_profile(parallel_engine):
     result = parallel_engine.query("SELECT COUNT(*) FROM sailors WHERE rating > 4")
-    assert result.tier == "vectorized-parallel"
+    assert result.tier == "vectorized"
     profile = result.profile
-    assert profile.execution_tier == "vectorized-parallel"
+    assert profile.execution_tier == "vectorized"
     assert profile.parallel_workers == 4
     assert profile.morsels_dispatched > 1
     assert profile.rows_scanned == SAILOR_COUNT
@@ -317,10 +320,12 @@ def test_parallel_tier_attribution_and_profile(parallel_engine):
 
 
 def test_unsplittable_scan_falls_back_to_serial_vectorized(parallel_engine):
-    # The binary row plug-in only has the per-tuple batch shim, so the
-    # parallel tier refuses its scans and the serial tier serves them.
+    # The binary row plug-in only has the per-tuple batch shim, so its scans
+    # never fan out: they run in the calling thread.
     result = parallel_engine.query("SELECT COUNT(*) FROM rowtable WHERE rid < 50")
     assert result.tier == "vectorized"
+    assert result.profile.morsels_dispatched == 0
+    assert result.profile.parallel_workers == 0
     assert result.rows == [(50,)]
 
 
@@ -329,7 +334,49 @@ def test_single_morsel_input_falls_back_to_serial(workload_dir):
     engine.vectorized_batch_size = 4096  # one morsel covers all 600 rows
     result = engine.query("SELECT COUNT(*) FROM sailors")
     assert result.tier == "vectorized"
+    assert result.profile.morsels_dispatched == 0
     assert result.rows == [(SAILOR_COUNT,)]
+
+
+#: Profile counters a run without fan-out reports exactly like one worker.
+SERIAL_PROFILE_FIELDS = (
+    "output_rows",
+    "groups_built",
+    "rows_sorted",
+    "batches_processed",
+    "sort_strategy",
+    "parallel_workers",
+    "morsels_dispatched",
+    "morsels_stolen",
+)
+
+
+@pytest.mark.parametrize(
+    "query,batch_size",
+    [
+        ("SELECT rid FROM rowtable WHERE rid > 20 ORDER BY rid DESC", BATCH_SIZE),
+        ("SELECT rid, COUNT(*) FROM rowtable GROUP BY rid", BATCH_SIZE),
+        ("SELECT sid, age FROM sailors ORDER BY age LIMIT 9", 4096),
+        ("SELECT rating, AVG(age) FROM sailors GROUP BY rating", 4096),
+        ("SELECT COUNT(*), SUM(age) FROM sailors", 4096),
+    ],
+)
+def test_inputs_that_do_not_fan_out_match_one_worker(workload_dir, query, batch_size):
+    """An unsplittable scan and a single-morsel input at 8 workers run the
+    serial path: same rows and the same profile counters as 1 worker."""
+    profiles = {}
+    rows = {}
+    for workers in (1, 8):
+        engine = _make_engine(workload_dir, parallel_workers=workers)
+        engine.vectorized_batch_size = batch_size
+        result = engine.query(query)
+        assert result.tier == "vectorized", (query, workers)
+        assert result.profile.morsels_dispatched == 0, (query, workers)
+        profiles[workers] = result.profile
+        rows[workers] = result.rows
+    assert rows[8] == rows[1], query
+    for name in SERIAL_PROFILE_FIELDS:
+        assert getattr(profiles[8], name) == getattr(profiles[1], name), name
 
 
 def test_null_group_keys_fall_back_to_volcano(volcano_engine, parallel_engine):
@@ -343,9 +390,10 @@ def test_null_group_keys_fall_back_to_volcano(volcano_engine, parallel_engine):
 def test_parallel_workers_flag_defaults_to_serial(workload_dir):
     engine = _make_engine(workload_dir)  # no parallel_workers argument
     assert engine.parallel_workers == 1
-    assert engine.query("SELECT COUNT(*) FROM sailors").tier == "vectorized"
-    disabled = _make_engine(workload_dir, parallel_workers=4, enable_parallel=False)
-    assert disabled.query("SELECT COUNT(*) FROM sailors").tier == "vectorized"
+    result = engine.query("SELECT COUNT(*) FROM sailors")
+    assert result.tier == "vectorized"
+    assert result.profile.morsels_dispatched == 0
+    assert result.profile.parallel_workers == 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +508,7 @@ def test_worker_pool_propagates_errors():
 
 def test_partition_parallel_table_build_matches_serial(workload_dir):
     engine = _make_engine(workload_dir, parallel_workers=4)
-    executor = ParallelVectorizedExecutor(
-        engine.catalog, engine.plugins, num_workers=4
-    )
+    executor = VectorizedExecutor(engine.catalog, engine.plugins, num_workers=4)
     rng = np.random.RandomState(11)
     keys = rng.randint(0, 5000, size=20000).astype(np.int64)
     parallel_table = executor._build_table(keys)

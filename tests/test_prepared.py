@@ -4,7 +4,8 @@ Covers:
 
 * parsing of ``?`` positional and ``:name`` named placeholders in both
   frontends (including ``LIMIT ?``),
-* prepared executions matching literal queries on all four execution tiers,
+* prepared executions matching literal queries on every execution tier
+  (the vectorized tier at one and at four workers),
   with exactly one code generation across different parameter values,
 * the lazy columnar :class:`ResultSet` (``column_array`` with no rows
   round-trip, incremental ``fetch_batches``, lazy ``rows``),
@@ -12,7 +13,7 @@ Covers:
   build-side cache,
 * invalidation of outstanding :class:`PreparedQuery` objects by
   re-registration / unregistration,
-* the NULLS LAST ordering fix and the ``used_codegen`` deprecation,
+* the NULLS LAST ordering fix,
 * ``explain()``'s tier-cascade report.
 """
 
@@ -20,19 +21,18 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
 
-from repro import ProteusEngine, QueryResult
+from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.engine import ResultSet, _apply_order_and_limit_columns
 from repro.core.expressions import Parameter
 from repro.core.sql_parser import parse_sql
 from repro.errors import ExecutionError, ProteusError
-from tests.conftest import ITEM_COUNT, expected_items, make_engine
+from tests.conftest import PARALLEL_CONFIG, expected_items, make_engine, served_tier
 
 
 # -- parsing -----------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_parameter_fingerprint_abstracts_value():
 TIER_CONFIGS = [
     ("codegen", {}),
     (
-        "vectorized-parallel",
+        PARALLEL_CONFIG,
         {
             "enable_codegen": False,
             "parallel_workers": 4,
@@ -95,7 +95,7 @@ def test_prepared_matches_literal_on_every_tier(paths, tier, config):
             f"WHERE qty < {threshold}"
         )
         assert bound.rows == literal.rows, (tier, threshold)
-        assert bound.tier == tier
+        assert bound.tier == served_tier(tier)
 
 
 @pytest.mark.parametrize("tier,config", TIER_CONFIGS)
@@ -164,13 +164,6 @@ def test_column_array_is_read_only_view(tmp_path):
     with pytest.raises(ValueError):
         arr[0] = 9999.0
     assert engine.query("SELECT v FROM vals").column("v")[0] == 0.0
-
-
-def test_v1_constructor_honors_used_codegen():
-    legacy = QueryResult(columns=["a"], rows=[(1,)], used_codegen=False)
-    with pytest.warns(DeprecationWarning):
-        assert legacy.used_codegen is False
-    assert legacy.rows == [(1,)]
 
 
 def test_unnest_with_parameter(engine):
@@ -276,21 +269,11 @@ def test_fetch_batches_is_incremental(engine):
 
 def test_result_set_v1_surface(engine):
     result = engine.query("SELECT id, qty FROM items_bin WHERE id < 3")
-    assert isinstance(result, QueryResult)  # deprecated alias of ResultSet
     assert isinstance(result, ResultSet)
     assert len(result) == 3
     assert result.column("qty") == [0, 1, 2]
     assert result.to_dicts()[0] == {"id": 0, "qty": 0}
     assert list(iter(result)) == result.rows
-
-
-def test_used_codegen_deprecation(engine):
-    result = engine.query("SELECT COUNT(*) FROM items_bin")
-    with pytest.warns(DeprecationWarning, match="used_codegen"):
-        assert result.used_codegen is True
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert result.tier == "codegen"  # the replacement does not warn
 
 
 # -- NULLS LAST ordering fix ---------------------------------------------------
@@ -370,7 +353,8 @@ def test_explain_reports_tier_cascade(engine):
     text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < ?")
     assert "== tier cascade ==" in text
     assert "codegen: serves this plan  <- selected" in text
-    assert "vectorized-parallel: declines" in text  # serial configuration
+    assert "vectorized: would serve if the tiers above declined" in text
+    assert "parallel_workers=" not in text  # serial configuration
     assert "volcano: would serve" in text
 
 
@@ -390,6 +374,10 @@ def test_explain_cascade_reports_unsplittable_parallel_scan(paths):
         paths, enable_codegen=False, parallel_workers=4, enable_caching=False
     )
     text = engine.explain("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
-    assert "vectorized-parallel: declines" in text
-    assert "not range-splittable" in text
     assert "vectorized: serves this plan  <- selected" in text
+    assert "vectorized runs with parallel_workers=4" in text
+    assert "vectorized-parallel" not in text
+    # The unsplittable scan runs in the calling thread.
+    result = engine.query("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
+    assert result.tier == "vectorized"
+    assert result.profile.morsels_dispatched == 0

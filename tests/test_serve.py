@@ -8,6 +8,7 @@ leaked no ``proteus-http-*`` / ``proteus-worker-*`` threads.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -16,11 +17,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from tests.conftest import make_engine
+from tests.conftest import PARALLEL_CONFIG, make_engine, served_tier
 from repro.core.concurrency import run_concurrently
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.serve import ProteusServer
+from repro.serve import server as server_module
 from repro.storage.catalog import DataFormat
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,7 @@ TIER_CONFIGS = [
             "parallel_workers": 2,
             "vectorized_batch_size": 16,
         },
-        "vectorized-parallel",
+        PARALLEL_CONFIG,
     ),
     ({"enable_codegen": False}, "vectorized"),
     ({"enable_codegen": False, "enable_vectorized": False}, "volcano"),
@@ -102,11 +104,12 @@ AGGREGATE_QUERY = (
 
 
 @pytest.mark.parametrize(
-    "config,expected_tier", TIER_CONFIGS, ids=[t for _, t in TIER_CONFIGS]
+    "config,label", TIER_CONFIGS, ids=[label for _, label in TIER_CONFIGS]
 )
-def test_http_and_direct_execution_identical(paths, config, expected_tier):
+def test_http_and_direct_execution_identical(paths, config, label):
     """The same query through HTTP and engine.query() returns identical rows
     (and reports the same serving tier) on every execution tier."""
+    expected_tier = served_tier(label)
     engine = make_engine(paths, **config)
     for query in (PROJECTION_QUERY, AGGREGATE_QUERY):
         direct = engine.query(query)
@@ -452,6 +455,30 @@ def test_server_lifecycle_is_single_use(engine):
         server.start()
     server.stop()
     server.stop()  # idempotent
+
+
+def test_stop_returns_despite_an_idle_client(engine, monkeypatch):
+    """A client that connects and sends nothing times out of its handler
+    thread, so stop() returns promptly and leaks no handler thread."""
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_SECONDS", 0.2)
+    server = ProteusServer(engine).start()
+    idle = socket.create_connection((server.host, server.port))
+    try:
+        time.sleep(0.05)  # let the handler thread block in its first read
+        started = time.monotonic()
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() is blocked by an idle client"
+        assert time.monotonic() - started < 2.0
+        leaked = [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("proteus-http")
+        ]
+        assert not leaked, leaked
+    finally:
+        idle.close()
 
 
 def test_context_manager_serves_and_stops(engine):

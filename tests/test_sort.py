@@ -4,8 +4,8 @@ Covers:
 
 * the :class:`~repro.core.physical.PhysSort` plan root (placement,
   fingerprints, ``explain()`` strategy report),
-* a differential ORDER BY / LIMIT suite across all four execution tiers
-  (codegen / vectorized-parallel / vectorized / volcano): NaN, None, strings,
+* a differential ORDER BY / LIMIT suite across every execution tier
+  (codegen / vectorized at 1 and 4 workers / volcano): NaN, None, strings,
   multi-key ascending/descending mixes, ties (stability), ``LIMIT 0`` and
   ``LIMIT`` beyond the row count — results must be identical tier-to-tier,
 * parallel per-morsel sort + k-way merge determinism at 1/2/8 workers,
@@ -28,13 +28,13 @@ from repro.core import sort as sortlib
 from repro.core.physical import PhysSort
 from repro.errors import ExecutionError, ProteusError
 
-from tests.conftest import make_engine
+from tests.conftest import PARALLEL_CONFIG, make_engine, served_tier
 
 #: One engine configuration per execution tier (mirrors tests/test_prepared).
 TIER_CONFIGS = [
     ("codegen", {}),
     (
-        "vectorized-parallel",
+        PARALLEL_CONFIG,
         {
             "enable_codegen": False,
             "parallel_workers": 4,
@@ -155,7 +155,8 @@ DIFFERENTIAL_QUERIES = [
     # Sorting grouped output.
     "SELECT grp, COUNT(*) AS n FROM messy GROUP BY grp ORDER BY grp DESC",
     # MAX (not SUM): partial float sums legitimately differ in the last ulp
-    # on the parallel tier, which is about aggregation, not ordering.
+    # when the scan fans out over workers — that is about aggregation, not
+    # ordering.
     "SELECT tag, MAX(val) AS m FROM messy GROUP BY tag ORDER BY tag LIMIT 4",
 ]
 
@@ -199,15 +200,15 @@ def test_stability_on_ties(messy_path):
 def test_sort_strategy_recorded(messy_path, tier, config):
     engine = messy_engine(messy_path, **config)
     full = engine.query("SELECT id, val FROM messy ORDER BY val DESC")
-    assert full.tier == tier
+    assert full.tier == served_tier(tier)
     expected_full = {
-        "vectorized-parallel": sortlib.STRATEGY_PARALLEL_MERGE,
+        PARALLEL_CONFIG: sortlib.STRATEGY_PARALLEL_MERGE,
     }.get(tier, sortlib.STRATEGY_LEXSORT)
     assert full.profile.sort_strategy == expected_full
     assert full.profile.rows_sorted >= MESSY_COUNT
     topk = engine.query("SELECT id, val FROM messy ORDER BY val LIMIT 3")
     expected_topk = {
-        "vectorized-parallel": sortlib.STRATEGY_PARALLEL_MERGE,
+        PARALLEL_CONFIG: sortlib.STRATEGY_PARALLEL_MERGE,
     }.get(tier, sortlib.STRATEGY_TOPK)
     assert topk.profile.sort_strategy == expected_topk
     unsorted = engine.query("SELECT id FROM messy")
@@ -241,8 +242,9 @@ def test_parallel_sort_identical_at_any_worker_count(messy_path, query):
             vectorized_batch_size=8,
         )
         result = engine.query(query)
-        expected_tier = "vectorized" if workers == 1 else "vectorized-parallel"
-        assert result.tier == expected_tier, (workers, query)
+        assert result.tier == "vectorized", (workers, query)
+        fanned_out = result.profile.morsels_dispatched > 1
+        assert fanned_out == (workers > 1), (workers, query)
         assert result.rows == reference.rows, (workers, query)
         for name in reference.columns:
             np.testing.assert_array_equal(
@@ -319,7 +321,7 @@ def test_zero_limit_keeps_column_dtypes(paths, tier, config):
     result = engine.query(
         "SELECT id, category FROM items_bin ORDER BY id LIMIT 0"
     )
-    assert result.tier == tier
+    assert result.tier == served_tier(tier)
     assert len(result) == 0
     if tier != "volcano":
         assert result.column_array("id").dtype.kind == "i"
@@ -399,7 +401,8 @@ def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
         parallel_workers=4,
         vectorized_batch_size=8,
     ).query("SELECT tag, id FROM messy WHERE id < 10 ORDER BY tag")
-    assert parallel.tier == "vectorized-parallel"
+    assert parallel.tier == "vectorized"
+    assert parallel.profile.morsels_dispatched > 1
     assert parallel.rows == serial.rows
     tags = [tag for tag, _ in parallel.rows]
     assert tags == sorted(tags)
@@ -435,7 +438,8 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
             )
             parallel.register_json("mixed_runs", str(path))
             result = parallel.query(query)
-            assert result.tier == "vectorized-parallel"
+            assert result.tier == "vectorized"
+            assert result.profile.morsels_dispatched > 1
             assert result.rows == expected, (query, workers)
 
 
@@ -449,7 +453,8 @@ def test_pure_limit_output_rows_consistent_across_batch_tiers(messy_path):
         parallel_workers=4,
         vectorized_batch_size=8,
     ).query("SELECT id FROM messy LIMIT 5")
-    assert parallel.tier == "vectorized-parallel"
+    assert parallel.tier == "vectorized"
+    assert parallel.profile.morsels_dispatched > 1
     assert serial.profile.output_rows == 5
     assert parallel.profile.output_rows == 5
     # ORDER BY ... LIMIT 0 also reports zero emitted rows on both tiers.

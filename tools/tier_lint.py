@@ -11,7 +11,8 @@ in ``src/repro/core/analysis/capabilities.py`` (its coverage is declared,
 possibly as a conditional decline).  A new operator therefore cannot
 silently fall through a tier to a raw "unhandled node" crash: the build
 fails until its coverage is stated somewhere.  Stale capability keys that
-no longer name an operator class are flagged too.
+no longer name an operator class are flagged too, and so is a tier with a
+capability row but no executor module (or an executor module but no row).
 
 **Span coverage.**  Every ``Phys*`` operator class must appear as a key in
 exactly one of ``SPAN_INSTRUMENTED_OPERATORS`` / ``SPAN_EXEMPT_OPERATORS``
@@ -43,7 +44,6 @@ from pathlib import Path
 #: Executor module (repo-relative) per capability-table tier key.
 EXECUTOR_MODULES: dict[str, str] = {
     "TIER_CODEGEN": "src/repro/core/codegen/generator.py",
-    "TIER_PARALLEL": "src/repro/core/parallel/executor.py",
     "TIER_VECTORIZED": "src/repro/core/executor/vectorized.py",
     "TIER_VOLCANO": "src/repro/core/executor/volcano.py",
 }
@@ -121,6 +121,16 @@ def check_tier_parity(root: Path) -> list[str]:
     operators = collect_phys_operators(root / PHYSICAL_MODULE)
     table = collect_capability_entries(root / CAPABILITIES_MODULE)
     violations: list[str] = []
+    for tier in sorted(set(table) - set(EXECUTOR_MODULES)):
+        violations.append(
+            f"{CAPABILITIES_MODULE}: OPERATOR_CAPABILITIES has a {tier} row "
+            "but EXECUTOR_MODULES maps no executor module to it"
+        )
+    for tier in sorted(set(EXECUTOR_MODULES) - set(table)):
+        violations.append(
+            f"{CAPABILITIES_MODULE}: OPERATOR_CAPABILITIES has no {tier} row "
+            f"for the executor module {EXECUTOR_MODULES[tier]}"
+        )
     for tier, module in sorted(EXECUTOR_MODULES.items()):
         handled = collect_referenced_names(root / module)
         declared = table.get(tier, set())
