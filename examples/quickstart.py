@@ -177,7 +177,7 @@ def main() -> None:
         print(f"  [{entry.kind}] {entry.description} ({entry.size_bytes} bytes)")
 
     print("\n== Morsel-driven parallel execution ==")
-    # parallel_workers is the vectorized tier's worker count: a splittable
+    # parallel_workers is the vectorized tier's worker count: the driving
     # scan is split into batch-aligned morsels executed by a work-stealing
     # worker pool.  Tune it to the physical core count for scan-heavy
     # workloads; inputs smaller than ~2 morsels (128Ki rows by default) run

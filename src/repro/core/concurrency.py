@@ -430,10 +430,7 @@ GUARDED_BY: dict[str, str] = {
     "InputPlugin.scan_seconds": "_metrics_lock",
     "InputPlugin.scan_bytes": "_metrics_lock",
     "InputPlugin.scan_calls": "_metrics_lock",
-    "CsvPlugin._states": "_state_lock",
-    "JsonPlugin._states": "_state_lock",
-    "BinaryColumnPlugin._tables": "_table_lock",
-    "BinaryRowPlugin._tables": "_table_lock",
+    "InputPlugin._states": "_state_lock",
     # batch-tier scan cache recorder (shared by parallel workers)
     "ScanOperator._record": "_record_lock",
     # morsel scheduler

@@ -16,11 +16,10 @@ the paper describes:
    * **codegen** — the code generator collapses the plan into one specialized
      program executed against the query runtime (§5.1, the engine-per-query),
    * **vectorized** — shapes the generator does not cover run through the
-     batch interpreter.  With ``parallel_workers > 1`` it splits a
-     splittable driving scan into batch-aligned morsels that a
-     work-stealing worker pool executes concurrently, with partial
-     per-morsel results merged deterministically in morsel order; an
-     unsplittable scan (e.g. the binary row format's per-tuple shim) or a
+     batch interpreter.  With ``parallel_workers > 1`` it splits the
+     driving scan (every plug-in serves row ranges) into batch-aligned
+     morsels that a work-stealing worker pool executes concurrently, with
+     partial per-morsel results merged deterministically in morsel order; a
      single-morsel input runs in the calling thread,
    * **volcano** — shapes the batch interpreter cannot serve (record
      construction in output columns, outer joins, null group keys) fall back
@@ -745,7 +744,7 @@ class ProteusEngine:
             # results.  A brand-new name cannot affect existing programs.
             old = self.catalog.get(name)
             old_plugin = self.plugins.get(old.format)
-            if old_plugin is not None and hasattr(old_plugin, "invalidate"):
+            if old_plugin is not None:
                 old_plugin.invalidate(name)
             if self.cache_manager is not None:
                 self.cache_manager.invalidate_dataset(name)
@@ -777,7 +776,7 @@ class ProteusEngine:
             return
         dataset = self.catalog.get(name)
         plugin = self.plugins.get(dataset.format)
-        if plugin is not None and hasattr(plugin, "invalidate"):
+        if plugin is not None:
             plugin.invalidate(name)
         if self.cache_manager is not None:
             self.cache_manager.invalidate_dataset(name)

@@ -384,7 +384,7 @@ class ScanOperator:
                     self._cached[path] = entry.data
         self._uncached = [path for path in self.paths if path not in self._cached]
         if self._cached and not self._uncached:
-            self.total_rows: int | None = len(next(iter(self._cached.values())))
+            self.total_rows = len(next(iter(self._cached.values())))
         else:
             self.total_rows = plugin.scan_row_count(dataset)
         # Chunk recorder for cache materialization: worth the references only
@@ -395,7 +395,6 @@ class ScanOperator:
             cache_manager is not None
             and plugin.format_name != "cache"
             and self._uncached
-            and self.total_rows is not None
             and (
                 cache_manager.policy.should_cache_field(plugin.format_name, "float")
                 or cache_manager.policy.should_cache_field(plugin.format_name, "string")
@@ -407,35 +406,11 @@ class ScanOperator:
     def fully_cached(self) -> bool:
         return bool(self._cached) and not self._uncached
 
-    @property
-    def splittable(self) -> bool:
-        """Can this scan serve arbitrary row ranges (morsel-driven access)?"""
-        if self.fully_cached:
-            return True
-        return self.total_rows is not None and self.plugin.supports_scan_ranges
-
-    def iter_batches(
-        self, counters: PipelineCounters, batch_size: int
-    ) -> Iterator[Batch]:
-        """The full batch stream (serial execution)."""
-        if self.fully_cached:
-            yield from self._iter_cached(0, self.total_rows, counters, batch_size)
-            return
-        for buffers in self._metered(
-            self.plugin.scan_batches(
-                self.dataset, self._uncached, batch_size=batch_size
-            )
-        ):
-            batch = self._to_batch(buffers, counters)
-            if batch is not None:
-                if self.context is not None:
-                    self.context.note_batch(batch.count)
-                yield batch
-
     def iter_range(
         self, start: int, stop: int, counters: PipelineCounters, batch_size: int
     ) -> Iterator[Batch]:
-        """The batch stream of global rows ``[start, stop)`` (one morsel)."""
+        """The batch stream of global rows ``[start, stop)``: one morsel, or
+        the whole scan when nothing fans out."""
         if self.fully_cached:
             yield from self._iter_cached(start, stop, counters, batch_size)
             return
@@ -917,10 +892,10 @@ class VectorizedExecutor:
     """Batch-vectorized interpreter over physical plans.
 
     ``num_workers`` is the degree of morsel-driven parallelism.  An execution
-    fans out only when ``num_workers > 1``, the driving scan is splittable
-    and :func:`plan_morsels` yields more than one morsel; join build sides
-    fan out under the same rule.  Otherwise the same plan root runs in the
-    calling thread over :meth:`ScanOperator.iter_batches`.
+    fans out only when ``num_workers > 1`` and :func:`plan_morsels` splits
+    the driving scan into more than one morsel; join build sides fan out
+    under the same rule.  Otherwise the same plan root runs in the calling
+    thread over the scan's whole row range.
     """
 
     def __init__(
@@ -997,7 +972,8 @@ class VectorizedExecutor:
         if morsels is None:
             state = root.new_state()
             if not pipeline.always_empty:
-                stream = pipeline.source.iter_batches(self.counters, self.batch_size)
+                source = pipeline.source
+                stream = source.iter_range(0, source.total_rows, self.counters, self.batch_size)
                 _drain(root, state, pipeline, stream, self.counters)
             return root.merge([root.finish_morsel(state, self.counters)], self.counters)
 
@@ -1024,10 +1000,9 @@ class VectorizedExecutor:
 
     def _plan_morsels(self, pipeline: CompiledPipeline) -> list[Morsel] | None:
         """The driving scan's morsels, or ``None`` when nothing fans out."""
-        source = pipeline.source
-        if self.num_workers <= 1 or pipeline.always_empty or not source.splittable:
+        if self.num_workers <= 1 or pipeline.always_empty:
             return None
-        morsels = plan_morsels(source.total_rows, self.batch_size, self.num_workers)
+        morsels = plan_morsels(pipeline.source.total_rows, self.batch_size, self.num_workers)
         return morsels if len(morsels) > 1 else None
 
     def _materialize(self, pipeline: CompiledPipeline) -> Batch:

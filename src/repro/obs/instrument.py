@@ -116,11 +116,6 @@ class TracedScan:
         self.inner = inner
         self.accumulator = accumulator
 
-    def iter_batches(
-        self, counters: "PipelineCounters", batch_size: int
-    ) -> Iterator["Batch"]:
-        return self._timed(self.inner.iter_batches(counters, batch_size))
-
     def iter_range(
         self, start: int, stop: int, counters: "PipelineCounters", batch_size: int
     ) -> Iterator["Batch"]:

@@ -27,16 +27,25 @@ Paper call          Reproduction method
 
 In addition, plug-ins provide statistics and cost formulas to the optimizer
 (§5.2, "Enabling Cost-based Optimizations") and bulk, vectorized accessors
-(:meth:`scan_columns`, :meth:`scan_unnest`) that the generated per-query code
-calls at run time — the Python analogue of the data-access code the paper's
-plug-ins generate as LLVM IR.
+that the generated per-query code and the batch tiers call at run time — the
+Python analogue of the data-access code the paper's plug-ins generate as LLVM
+IR.
+
+A format implements :meth:`InputPlugin._read` (one ranged, projected read),
+:meth:`InputPlugin.scan_row_count`, a state builder
+(:meth:`InputPlugin._build_state`) and the tuple protocol (``iterate_rows`` /
+``read_value`` / ``unnest_*``).  :class:`InputPlugin` derives every bulk entry
+point from ``_read`` — :meth:`~InputPlugin.scan_columns` (all rows),
+:meth:`~InputPlugin.scan_columns_at` (OIDs), :meth:`~InputPlugin.scan_batch_ranges`
+(batches of a row range) — plus :meth:`~InputPlugin.scan_unnest` on top of
+:meth:`~InputPlugin.scan_unnest_batch`, and owns the per-dataset state cache.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +58,21 @@ from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.memory import MemoryManager
 
 FieldPath = tuple[str, ...]
+
+#: The rows one :meth:`InputPlugin._read` serves: a contiguous ``range`` of
+#: global row positions, or an int64 array of OIDs.
+Rows = Union[range, np.ndarray]
+
+
+def row_selector(rows: Rows) -> slice | np.ndarray:
+    """Index selecting ``rows`` from a full column: a slice for a range (a
+    zero-copy view of a mapped column), the OID array otherwise."""
+    return slice(rows.start, rows.stop) if isinstance(rows, range) else rows
+
+
+def row_positions(rows: Rows) -> Iterable[int]:
+    """``rows`` as plain ints: a range iterates as-is, OIDs unbox once."""
+    return rows if isinstance(rows, range) else np.asarray(rows, dtype=np.int64).tolist()
 
 
 def _noop() -> None:
@@ -146,12 +170,6 @@ class InputPlugin(ABC):
     #: policy (JSON > CSV > binary).
     field_access_cost: float = 1.0
 
-    #: Whether :meth:`scan_batch_ranges` has a genuinely splittable
-    #: implementation.  The vectorized tier only splits scans of plug-ins
-    #: that set this to ``True`` into morsels; everything else runs in the
-    #: calling thread.
-    supports_scan_ranges: bool = False
-
     def __init__(self, memory: MemoryManager):
         self.memory = memory
         #: Cumulative scan metrics (scraped by the engine's metrics registry
@@ -169,6 +187,10 @@ class InputPlugin(ABC):
         #: production; when installed, every :meth:`io_guard` /
         #: :meth:`io_checkpoint` step consults it *beneath* the retry layer.
         self.fault_injector = None
+        #: Per-dataset format state (a structural index, a mapped table):
+        #: dataset name -> (the ``Dataset`` it was built for, the state).
+        self._states: dict[str, tuple[Dataset, Any]] = {}
+        self._state_lock = make_lock("InputPlugin._state_lock")
 
     def record_scan(self, seconds: float, nbytes: int) -> None:
         """Charge one scan stream / kernel call to this plug-in's metrics."""
@@ -218,6 +240,38 @@ class InputPlugin(ABC):
             return
         self.io_guard(operation, dataset_name, _noop)
 
+    # -- per-dataset state ----------------------------------------------------
+
+    def _build_state(self, dataset: Dataset) -> Any:
+        """Build the format's state for ``dataset`` (run under the state
+        lock, once per registered ``Dataset``); raw I/O inside it goes through
+        :meth:`io_guard`."""
+        raise NotImplementedError(f"format {self.format_name!r} keeps no state")
+
+    def _state(self, dataset: Dataset) -> Any:
+        """The state built for this very ``Dataset`` object.
+
+        Double-checked locking: concurrent workers hitting a cold dataset
+        build it once; a published state is immutable and read lock-free.
+        A state built for another ``Dataset`` under the same name — an
+        in-flight scan of a re-registered name's old version — is rebuilt,
+        never reused.
+        """
+        entry = self._states.get(dataset.name)
+        if entry is not None and entry[0] is dataset:
+            return entry[1]
+        with self._state_lock:
+            entry = self._states.get(dataset.name)
+            if entry is None or entry[0] is not dataset:
+                entry = (dataset, self._build_state(dataset))
+                self._states[dataset.name] = entry
+            return entry[1]
+
+    def invalidate(self, dataset_name: str) -> None:
+        """Drop per-dataset state (used when the underlying file changes)."""
+        with self._state_lock:
+            self._states.pop(dataset_name, None)
+
     # -- schema and statistics ----------------------------------------------
 
     @abstractmethod
@@ -228,28 +282,82 @@ class InputPlugin(ABC):
     def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
         """Gather cardinality and min/max statistics for the dataset."""
 
-    # -- bulk (vectorized) access used by generated code ---------------------
+    # -- bulk (vectorized) access ----------------------------------------------
 
     @abstractmethod
+    def scan_row_count(self, dataset: Dataset) -> int:
+        """Total number of scannable rows; the vectorized tier splits scans
+        into morsel row ranges from it."""
+
+    @abstractmethod
+    def _read(
+        self, dataset: Dataset, paths: Sequence[FieldPath], rows: Rows
+    ) -> dict[FieldPath, np.ndarray]:
+        """The one bulk read a format implements: one column per requested
+        path, holding ``rows`` in order.
+
+        ``rows`` is a contiguous ``range`` of global rows (binary formats
+        return zero-copy views of it) or an int64 OID array — the *lazy*
+        access path of §5.2, which converts fields only for objects a
+        selection kept.  ``scan_columns``, ``scan_columns_at`` and
+        ``scan_batch_ranges`` call this, never each other, so a tracer
+        wrapping the public methods sees one call per scan.
+        """
+
     def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
         """Materialize the requested field paths into columnar buffers."""
+        paths = [tuple(path) for path in paths]
+        total = self.scan_row_count(dataset)
+        self.io_checkpoint("scan-columns", dataset.name)
+        return ScanBuffers(
+            count=total,
+            oids=np.arange(total, dtype=np.int64),
+            columns=self._read(dataset, paths, range(total)),
+        )
 
     def scan_columns_at(
         self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray
     ) -> ScanBuffers:
-        """Materialize the requested fields for the given OIDs only.
+        """Materialize the requested fields for the given OIDs only."""
+        paths = [tuple(path) for path in paths]
+        rows = np.asarray(oids, dtype=np.int64)
+        self.io_checkpoint("scan-columns", dataset.name)
+        return ScanBuffers(
+            count=len(rows), oids=rows, columns=self._read(dataset, paths, rows)
+        )
 
-        This is the *lazy* access path of §5.2: when a selection has already
-        filtered most objects away, converting the remaining fields only for
-        the qualifying OIDs avoids touching the raw data for objects that were
-        filtered out.  The default implementation extracts full columns and
-        gathers; verbose formats override it with genuinely selective access.
+    def scan_batch_ranges(
+        self,
+        dataset: Dataset,
+        paths: Sequence[FieldPath],
+        start: int,
+        stop: int,
+        batch_size: int = 4096,
+    ) -> Iterator[ScanBuffers]:
+        """Yield the requested fields for global rows ``[start, stop)`` as
+        columnar batches of at most ``batch_size`` rows (OIDs carry the global
+        row positions).
+
+        This is the access path of the vectorized tier: a serial run scans
+        ``[0, scan_row_count)``, morsel-driven workers scan disjoint ranges
+        concurrently, which ``_read`` serves without shared mutable state.
         """
-        full = self.scan_columns(dataset, paths)
-        buffers = ScanBuffers(count=len(oids), oids=np.asarray(oids, dtype=np.int64))
-        for path in paths:
-            buffers.columns[tuple(path)] = full.column(tuple(path))[oids]
-        return buffers
+        paths = [tuple(path) for path in paths]
+        stop = min(stop, self.scan_row_count(dataset))
+        for begin in range(start, stop, batch_size):
+            self.io_checkpoint("scan-range", dataset.name)
+            end = min(begin + batch_size, stop)
+            yield ScanBuffers(
+                count=end - begin,
+                oids=np.arange(begin, end, dtype=np.int64),
+                columns=self._read(dataset, paths, range(begin, end)),
+            )
+
+    #: Parents flattened per ``scan_unnest_batch`` call when ``scan_unnest``
+    #: covers a whole dataset: bounds peak memory (joined spans + parsed
+    #: element dicts are alive per chunk only) while keeping the per-call
+    #: overhead amortized.
+    _UNNEST_CHUNK_PARENTS = 65536
 
     def scan_unnest(
         self,
@@ -258,10 +366,31 @@ class InputPlugin(ABC):
         element_paths: Sequence[FieldPath],
         parent_oids: np.ndarray | None = None,
     ) -> UnnestBuffers:
-        """Unnest a nested collection field into flattened buffers."""
-        raise PluginError(
-            f"format {self.format_name!r} does not contain nested collections"
+        """Unnest a nested collection field into flattened buffers, for the
+        given parents (all parents when ``None``)."""
+        if parent_oids is None:
+            parent_oids = np.arange(self.scan_row_count(dataset), dtype=np.int64)
+        parent_oids = np.asarray(parent_oids, dtype=np.int64)
+        element_paths = [tuple(path) for path in element_paths]
+        offsets = range(0, max(len(parent_oids), 1), self._UNNEST_CHUNK_PARENTS)
+        chunks = [
+            self.scan_unnest_batch(
+                dataset,
+                collection_path,
+                element_paths,
+                parent_oids[offset : offset + self._UNNEST_CHUNK_PARENTS],
+            )
+            for offset in offsets
+        ]
+        buffers = UnnestBuffers(
+            count=sum(chunk.count for chunk in chunks),
+            parent_positions=np.concatenate(
+                [chunk.parent_positions() + offset for chunk, offset in zip(chunks, offsets)]
+            ),
         )
+        for path in element_paths:
+            buffers.columns[path] = _concat_columns([chunk.column(path) for chunk in chunks])
+        return buffers
 
     def scan_unnest_batch(
         self,
@@ -312,83 +441,6 @@ class InputPlugin(ABC):
         for path in element_paths:
             batch.columns[path] = values_to_array(values[path])
         return batch
-
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ) -> Iterator[ScanBuffers]:
-        """Yield the requested field paths as a stream of columnar batches.
-
-        This is the access path of the vectorized batch executor: instead of
-        one dict per tuple (``iterate_rows``) or one monolithic buffer per
-        column (``scan_columns``), the scan produces :class:`ScanBuffers` of at
-        most ``batch_size`` rows each, with OIDs carrying the global row
-        positions.  The default implementation is a per-tuple shim over
-        ``iterate_rows`` — correct for every plug-in but paying the per-tuple
-        cost once; formats with structural indexes or native columns override
-        it with genuinely batched extraction.  Empty datasets yield no batches.
-        """
-        paths = [tuple(path) for path in paths]
-        pending: list[dict] = []
-        start = 0
-        for record in self.iterate_rows(dataset, paths):
-            pending.append(record)
-            if len(pending) >= batch_size:
-                self.io_checkpoint("scan-batch", dataset.name)
-                yield self._shim_batch(pending, paths, start)
-                start += len(pending)
-                pending = []
-        if pending:
-            self.io_checkpoint("scan-batch", dataset.name)
-            yield self._shim_batch(pending, paths, start)
-
-    def scan_row_count(self, dataset: Dataset) -> int | None:
-        """Total number of scannable rows, or ``None`` when counting would
-        require a full pass over the source.
-
-        A known row count is what lets the vectorized tier split a scan
-        into independent morsel row ranges up front; plug-ins backed by a
-        structural index or binary layout know it for free.
-        """
-        return None
-
-    def scan_batch_ranges(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        start: int,
-        stop: int,
-        batch_size: int = 4096,
-    ) -> Iterator[ScanBuffers]:
-        """Yield the requested fields for global rows ``[start, stop)`` as
-        columnar batches (OIDs carry the global row positions).
-
-        This is the *splittable* access path of morsel-driven parallel
-        execution: disjoint ranges must be servable concurrently from
-        different threads without touching shared mutable plug-in state.
-        Plug-ins that implement it natively set :attr:`supports_scan_ranges`;
-        the default refuses, and the vectorized tier then scans the dataset
-        in the calling thread.
-        """
-        raise PluginError(
-            f"format {self.format_name!r} does not support range-partitioned "
-            "scans"
-        )
-
-    def _shim_batch(
-        self, records: list[dict], paths: Sequence[FieldPath], start: int
-    ) -> ScanBuffers:
-        buffers = ScanBuffers(
-            count=len(records),
-            oids=np.arange(start, start + len(records), dtype=np.int64),
-        )
-        for path in paths:
-            buffers.columns[tuple(path)] = values_to_array(
-                [dig_path(record, path) for record in records]
-            )
-        return buffers
 
     # -- tuple-at-a-time access (Volcano executor, lazy expression evaluation)
 
@@ -540,6 +592,23 @@ def flatten_collections(
     for path in element_paths:
         batch.columns[path] = values_to_array(values[path])
     return batch
+
+
+def _concat_columns(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate per-chunk column buffers.  A chunk-local missing value may
+    have demoted one chunk to an object (or NaN-float) buffer; concatenation
+    must then widen the whole column exactly as a single-shot conversion
+    would, so an explicit object merge avoids NumPy promoting to strings."""
+    if len(parts) == 1:
+        return parts[0]
+    if any(part.dtype == object for part in parts):
+        merged = np.empty(sum(len(part) for part in parts), dtype=object)
+        position = 0
+        for part in parts:
+            merged[position : position + len(part)] = part
+            position += len(part)
+        return merged
+    return np.concatenate(parts)
 
 
 def values_to_array(values: list) -> np.ndarray:

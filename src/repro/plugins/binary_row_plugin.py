@@ -14,13 +14,13 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.core import types as t
-from repro.core.concurrency import make_lock
 from repro.plugins.base import (
     FieldPath,
     InputPlugin,
-    ScanBuffers,
+    Rows,
     count_missing,
     require_flat_path,
+    row_selector,
 )
 from repro.storage.binary_format import RowTable, read_row_table
 from repro.storage.catalog import Dataset, DatasetStatistics
@@ -33,43 +33,18 @@ class BinaryRowPlugin(InputPlugin):
     format_name = "binary_row"
     field_access_cost = 0.1
 
-    def __init__(self, memory):
-        super().__init__(memory)
-        self._tables: dict[str, RowTable] = {}
-        self._table_lock = make_lock("BinaryRowPlugin._table_lock")
-
-    def _table(self, dataset: Dataset) -> RowTable:
-        # Double-checked locking: load the table exactly once even under
-        # concurrent first access.  The per-tuple batch shim stays the scan
-        # path (supports_scan_ranges is False), so the vectorized tier
-        # never splits this format into morsels.
-        table = self._tables.get(dataset.name)
-        if table is not None:
-            return table
-        with self._table_lock:
-            table = self._tables.get(dataset.name)
-            if table is None:
-                # One guarded raw-I/O step: the header read + record mmap can
-                # fault transiently (retried); a bad header surfaces as
-                # corrupt data.  Batch scans go through the base-class shim,
-                # which has its own per-batch injection checkpoint.
-                table = self.io_guard(
-                    "table-load", dataset.name, read_row_table, dataset.path
-                )
-                self._tables[dataset.name] = table
-            return table
-
-    def invalidate(self, dataset_name: str) -> None:
-        with self._table_lock:
-            self._tables.pop(dataset_name, None)
+    def _build_state(self, dataset: Dataset) -> RowTable:
+        # One guarded raw-I/O step: the header read + record mmap can fault
+        # transiently (retried); a bad header surfaces as corrupt data.
+        return self.io_guard("table-load", dataset.name, read_row_table, dataset.path)
 
     # -- schema and statistics -----------------------------------------------
 
     def infer_schema(self, dataset: Dataset) -> t.RecordType:
-        return self._table(dataset).schema
+        return self._state(dataset).schema
 
     def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
-        table = self._table(dataset)
+        table = self._state(dataset)
         statistics = DatasetStatistics(cardinality=table.row_count)
         for field in table.schema.fields:
             column = table.column(field.name)
@@ -83,26 +58,31 @@ class BinaryRowPlugin(InputPlugin):
 
     # -- bulk access ------------------------------------------------------------
 
-    def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
-        table = self._table(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        buffers = ScanBuffers(
-            count=table.row_count, oids=np.arange(table.row_count, dtype=np.int64)
-        )
+    def scan_row_count(self, dataset: Dataset) -> int:
+        return self._state(dataset).row_count
+
+    def _read(
+        self, dataset: Dataset, paths: Sequence[FieldPath], rows: Rows
+    ) -> dict[FieldPath, np.ndarray]:
+        """Per-field gathers (strided views for a row range) from the
+        memory-mapped structured array; fixed-width strings become object
+        buffers, the engine's string representation."""
+        table = self._state(dataset)
+        selector = row_selector(rows)
+        columns: dict[FieldPath, np.ndarray] = {}
         for path in paths:
-            name = require_flat_path(path)
-            column = np.asarray(table.column(name))
+            column = np.asarray(table.column(require_flat_path(path)))[selector]
             if column.dtype.kind == "U":
                 column = column.astype(object)
-            buffers.columns[path] = column
-        return buffers
+            columns[path] = column
+        return columns
 
     # -- tuple-at-a-time access ----------------------------------------------------
 
     def iterate_rows(
         self, dataset: Dataset, paths: Sequence[FieldPath] | None = None
     ) -> Iterator[dict]:
-        table = self._table(dataset)
+        table = self._state(dataset)
         names = (
             [require_flat_path(path) for path in paths]
             if paths is not None
@@ -114,7 +94,7 @@ class BinaryRowPlugin(InputPlugin):
             yield {name: _python_value(record[name]) for name in names}
 
     def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        table = self._table(dataset)
+        table = self._state(dataset)
         name = require_flat_path(path)
         return _python_value(table.data[int(oid)][name])
 

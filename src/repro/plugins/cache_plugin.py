@@ -16,7 +16,7 @@ from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.errors import PluginError
-from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers, require_flat_path
+from repro.plugins.base import FieldPath, InputPlugin, Rows, row_selector
 from repro.storage.catalog import Dataset, DatasetStatistics
 
 
@@ -93,25 +93,34 @@ class CachePlugin(InputPlugin):
 
     # -- bulk access ------------------------------------------------------------------
 
-    def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
+    def _source(self, dataset: Dataset, path: FieldPath) -> InputPlugin:
+        """The raw plug-in a scan re-routes to when ``path`` left the cache
+        after planning (an invalidation / eviction race)."""
+        source = self.source_plugins.get(dataset.format)
+        if source is None:
+            raise PluginError(
+                f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
+            )
+        return source
+
+    def scan_row_count(self, dataset: Dataset) -> int:
+        for entry in self.manager.entries_for_dataset(dataset.name):
+            if entry.kind == "field":
+                return len(entry.data)
+        return self._source(dataset, ()).scan_row_count(dataset)
+
+    def _read(
+        self, dataset: Dataset, paths: Sequence[FieldPath], rows: Rows
+    ) -> dict[FieldPath, np.ndarray]:
+        selector = row_selector(rows)
         columns: dict[FieldPath, np.ndarray] = {}
-        count = 0
         for path in paths:
-            entry = self.manager.lookup(field_cache_key(dataset.name, tuple(path)))
+            entry = self.manager.lookup(field_cache_key(dataset.name, path))
             if entry is None:
-                source = self.source_plugins.get(dataset.format)
-                if source is None:
-                    raise PluginError(
-                        f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
-                    )
-                # Entry vanished after planning (invalidation / eviction race):
-                # serve the whole scan from the raw source instead.
-                return source.scan_columns(dataset, paths)
-            columns[tuple(path)] = entry.data
-            count = len(entry.data)
-        buffers = ScanBuffers(count=count, oids=np.arange(count, dtype=np.int64))
-        buffers.columns.update(columns)
-        return buffers
+                # Serve the whole read from the raw source instead.
+                return self._source(dataset, path)._read(dataset, paths, rows)
+            columns[path] = entry.data[selector]
+        return columns
 
     # -- tuple-at-a-time access ----------------------------------------------------------
 
@@ -129,12 +138,7 @@ class CachePlugin(InputPlugin):
     def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
         entry = self.manager.lookup(field_cache_key(dataset.name, tuple(path)))
         if entry is None:
-            source = self.source_plugins.get(dataset.format)
-            if source is None:
-                raise PluginError(
-                    f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
-                )
-            return source.read_value(dataset, oid, path)
+            return self._source(dataset, path).read_value(dataset, oid, path)
         return _python_value(entry.data[int(oid)])
 
 

@@ -18,14 +18,14 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.core import types as t
-from repro.core.concurrency import make_lock
 from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
     InputPlugin,
-    ScanBuffers,
+    Rows,
     count_missing,
     require_flat_path,
+    row_positions,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.structural_index import CsvStructuralIndex, build_csv_index
@@ -101,53 +101,33 @@ class CsvPlugin(InputPlugin):
 
     format_name = "csv"
     field_access_cost = 1.0
-    supports_scan_ranges = True
-
-    def __init__(self, memory):
-        super().__init__(memory)
-        self._states: dict[str, _CsvState] = {}
-        self._state_lock = make_lock("CsvPlugin._state_lock")
 
     # -- dataset state --------------------------------------------------------
 
-    def _state(self, dataset: Dataset) -> _CsvState:
-        # Double-checked locking: concurrent workers hitting a cold dataset
-        # must not build (and race to publish) the structural index twice;
-        # once published, the state is immutable and read lock-free.
-        state = self._states.get(dataset.name)
-        if state is not None:
-            return state
-        with self._state_lock:
-            state = self._states.get(dataset.name)
-            if state is not None:
-                return state
-            started = time.perf_counter()
-            delimiter = dataset.options.get("delimiter", ",")
-            has_header = dataset.options.get("has_header", True)
-            stride = dataset.options.get("stride", 5)
+    def _build_state(self, dataset: Dataset) -> _CsvState:
+        started = time.perf_counter()
+        delimiter = dataset.options.get("delimiter", ",")
+        has_header = dataset.options.get("has_header", True)
+        stride = dataset.options.get("stride", 5)
 
-            def build() -> tuple:
-                # One guarded raw-I/O step: mmap faults retry (RES005 when
-                # exhausted), parse failures surface as corrupt data (RES006).
-                mapped = self.memory.map_file(dataset.path)
-                data = bytes(mapped.data) if mapped.mapped else mapped.data
-                index = build_csv_index(
-                    data, delimiter=delimiter, has_header=has_header, stride=stride
-                )
-                return data, index
+        def build() -> tuple:
+            # One guarded raw-I/O step: mmap faults retry (RES005 when
+            # exhausted), parse failures surface as corrupt data (RES006).
+            mapped = self.memory.map_file(dataset.path)
+            data = bytes(mapped.data) if mapped.mapped else mapped.data
+            index = build_csv_index(
+                data, delimiter=delimiter, has_header=has_header, stride=stride
+            )
+            return data, index
 
-            data, index = self.io_guard("index-build", dataset.name, build)
-            header = self._read_header(
-                data, dataset, delimiter, has_header, index.field_count
-            )
-            state = _CsvState(
-                data=data,
-                index=index,
-                header=header,
-                build_seconds=time.perf_counter() - started,
-            )
-            self._states[dataset.name] = state
-            return state
+        data, index = self.io_guard("index-build", dataset.name, build)
+        header = self._read_header(data, dataset, delimiter, has_header, index.field_count)
+        return _CsvState(
+            data=data,
+            index=index,
+            header=header,
+            build_seconds=time.perf_counter() - started,
+        )
 
     @staticmethod
     def _read_header(
@@ -162,11 +142,6 @@ class CsvPlugin(InputPlugin):
         if names:
             return list(names)
         return [f"c{i}" for i in range(field_count)]
-
-    def invalidate(self, dataset_name: str) -> None:
-        """Drop per-dataset state (used when the underlying file changes)."""
-        with self._state_lock:
-            self._states.pop(dataset_name, None)
 
     def index_info(self, dataset: Dataset) -> dict:
         """Structural-index metadata used by the benchmarks (size, build time)."""
@@ -213,83 +188,31 @@ class CsvPlugin(InputPlugin):
 
     # -- bulk access -----------------------------------------------------------
 
-    def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
-        state = self._state(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        num_rows = state.index.num_rows
-        buffers = ScanBuffers(count=num_rows, oids=np.arange(num_rows, dtype=np.int64))
-        for path in paths:
-            buffers.columns[path] = self._convert_rows(dataset, state, path, range(num_rows))
-        return buffers
-
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ):
-        """Native batched scan: slice and convert one row range at a time using
-        the positional structural index (no per-tuple dict assembly)."""
-        state = self._state(dataset)
-        num_rows = state.index.num_rows
-        paths = [tuple(path) for path in paths]
-        for start in range(0, num_rows, batch_size):
-            self.io_checkpoint("scan-batch", dataset.name)
-            stop = min(start + batch_size, num_rows)
-            buffers = ScanBuffers(
-                count=stop - start, oids=np.arange(start, stop, dtype=np.int64)
-            )
-            for path in paths:
-                buffers.columns[path] = self._convert_rows(
-                    dataset, state, path, range(start, stop)
-                )
-            yield buffers
-
     def scan_row_count(self, dataset: Dataset) -> int:
         return self._state(dataset).index.num_rows
 
-    def scan_batch_ranges(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        start: int,
-        stop: int,
-        batch_size: int = 4096,
-    ):
-        """Range-partitioned scan for morsel-driven parallel execution: the
-        positional structural index makes any row range directly addressable,
-        so disjoint ranges convert concurrently without shared state."""
+    def _read(
+        self, dataset: Dataset, paths: Sequence[FieldPath], rows: Rows
+    ) -> dict[FieldPath, np.ndarray]:
+        """Slice and convert only the requested fields of ``rows`` through
+        the positional structural index (no per-tuple dict assembly)."""
         state = self._state(dataset)
-        stop = min(stop, state.index.num_rows)
-        paths = [tuple(path) for path in paths]
-        for begin in range(start, stop, batch_size):
-            self.io_checkpoint("scan-range", dataset.name)
-            end = min(begin + batch_size, stop)
-            buffers = ScanBuffers(
-                count=end - begin, oids=np.arange(begin, end, dtype=np.int64)
-            )
-            for path in paths:
-                buffers.columns[path] = self._convert_rows(
-                    dataset, state, path, range(begin, end)
-                )
-            yield buffers
+        return {path: self._convert_rows(dataset, state, path, rows) for path in paths}
 
     def _convert_rows(
-        self, dataset: Dataset, state: _CsvState, path: FieldPath, rows: range
+        self, dataset: Dataset, state: _CsvState, path: FieldPath, rows: Rows
     ) -> np.ndarray:
-        """Slice and convert one field for the given row range."""
+        """Slice and convert one field for the given rows."""
         data = state.data
         index = state.index
         name = require_flat_path(path)
         column = self._column_index(state, name)
         type_name = self._field_type_name(dataset, name)
+        spans = [index.field_span(data, row, column) for row in row_positions(rows)]
         if type_name in ("int", "float"):
             # Bulk conversion of the sliced field values (the Python
             # analogue of the generated per-field conversion code).
-            slices = [
-                data[span[0]:span[1]]
-                for span in (index.field_span(data, row, column) for row in rows)
-            ]
+            slices = [data[start:end] for start, end in spans]
             try:
                 floats = (
                     np.asarray(slices).astype(np.float64)
@@ -298,42 +221,19 @@ class CsvPlugin(InputPlugin):
             except ValueError:
                 floats = None
             if floats is not None:
-                if type_name == "int" and len(floats) and \
-                        np.all(floats == np.floor(floats)):
-                    if not np.any(np.abs(floats) >= 2.0**53):
-                        return floats.astype(np.int64)
-                    # Integers beyond 2**53 are not exactly representable in
-                    # float64; fall through to the exact per-value converter.
-                else:
+                if type_name == "float":
                     return floats
+                if np.all(floats == np.floor(floats)) and \
+                        not np.any(np.abs(floats) >= 2.0**53):
+                    return floats.astype(np.int64)
+                # Non-integral text in an int column (truncated) and integers
+                # beyond 2**53 (not exact in float64) take the per-value
+                # converter, the one Volcano and ``read_value`` use.
         converter = _CONVERTERS[type_name]
-        values = [
-            converter(data[span[0]:span[1]].decode("utf-8"))
-            for span in (index.field_span(data, row, column) for row in rows)
-        ]
-        return _typed_array(values, type_name)
-
-    def scan_columns_at(
-        self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray
-    ) -> ScanBuffers:
-        """Selective (lazy) extraction: parse and convert only the given rows."""
-        state = self._state(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        data = state.data
-        index = state.index
-        rows = np.asarray(oids, dtype=np.int64)
-        buffers = ScanBuffers(count=len(rows), oids=rows)
-        for path in paths:
-            name = require_flat_path(path)
-            column = self._column_index(state, name)
-            type_name = self._field_type_name(dataset, name)
-            converter = _CONVERTERS[type_name]
-            values = [
-                converter(data[span[0]:span[1]].decode("utf-8"))
-                for span in (index.field_span(data, int(row), column) for row in rows)
-            ]
-            buffers.columns[path] = _typed_array(values, type_name)
-        return buffers
+        return _typed_array(
+            [converter(data[start:end].decode("utf-8")) for start, end in spans],
+            type_name,
+        )
 
     # -- tuple-at-a-time access --------------------------------------------------
 

@@ -10,8 +10,8 @@ fields in the same order, Level 0 is dropped (fixed-schema specialization).
 
 Scans slice only the spans of the fields a query needs — nested paths included
 — and convert them to binary values on the fly; nested arrays are handled by
-the Unnest operator through :meth:`JsonPlugin.scan_unnest`, which parses only
-the array spans.
+the Unnest operator through :meth:`JsonPlugin.scan_unnest_batch`, which parses
+only the array spans.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.core import types as t
-from repro.core.concurrency import make_lock
 from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
     InputPlugin,
-    ScanBuffers,
+    Rows,
     UnnestBatch,
-    UnnestBuffers,
     count_missing,
     dig_path as _dig,
+    row_positions,
+    row_selector,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.structural_index import (
@@ -64,50 +64,23 @@ class JsonPlugin(InputPlugin):
 
     format_name = "json"
     field_access_cost = 2.5
-    supports_scan_ranges = True
-
-    def __init__(self, memory):
-        super().__init__(memory)
-        self._states: dict[str, _JsonState] = {}
-        self._state_lock = make_lock("JsonPlugin._state_lock")
 
     # -- dataset state ---------------------------------------------------------
 
-    def _state(self, dataset: Dataset) -> _JsonState:
-        # Double-checked locking: the structural index must be built exactly
-        # once even when parallel workers hit a cold dataset concurrently;
-        # after publication the state is immutable and read lock-free.
-        state = self._states.get(dataset.name)
-        if state is not None:
-            return state
-        with self._state_lock:
-            state = self._states.get(dataset.name)
-            if state is not None:
-                return state
-            started = time.perf_counter()
+    def _build_state(self, dataset: Dataset) -> _JsonState:
+        started = time.perf_counter()
 
-            def build() -> tuple:
-                # One guarded raw-I/O step: the mmap (where a transient
-                # OSError can surface) plus the structural-index parse
-                # (where corrupt bytes surface as ValueError -> RES006).
-                mapped = self.memory.map_file(dataset.path)
-                data = bytes(mapped.data) if mapped.mapped else mapped.data
-                index = build_json_index(
-                    data, max_depth=dataset.options.get("max_depth", 8)
-                )
-                return data, index
+        def build() -> tuple:
+            # One guarded raw-I/O step: the mmap (where a transient
+            # OSError can surface) plus the structural-index parse
+            # (where corrupt bytes surface as ValueError -> RES006).
+            mapped = self.memory.map_file(dataset.path)
+            data = bytes(mapped.data) if mapped.mapped else mapped.data
+            index = build_json_index(data, max_depth=dataset.options.get("max_depth", 8))
+            return data, index
 
-            data, index = self.io_guard("index-build", dataset.name, build)
-            state = _JsonState(
-                data=data, index=index, build_seconds=time.perf_counter() - started
-            )
-            self._states[dataset.name] = state
-            return state
-
-    def invalidate(self, dataset_name: str) -> None:
-        """Drop per-dataset state (used when the underlying file changes)."""
-        with self._state_lock:
-            self._states.pop(dataset_name, None)
+        data, index = self.io_guard("index-build", dataset.name, build)
+        return _JsonState(data=data, index=index, build_seconds=time.perf_counter() - started)
 
     def index_info(self, dataset: Dataset) -> dict:
         """Structural-index metadata used by the benchmarks."""
@@ -157,100 +130,30 @@ class JsonPlugin(InputPlugin):
 
     # -- bulk access ----------------------------------------------------------------
 
-    def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
-        state = self._state(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        count = state.index.num_objects
-        buffers = ScanBuffers(count=count, oids=np.arange(count, dtype=np.int64))
-        for path in paths:
-            buffers.columns[path] = self._extract_column(dataset, state, path)
-        return buffers
-
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ):
-        """Native batched scan: extract each column for one object range at a
-        time through the structural index (missing numeric fields surface as
-        NaN, exactly as in :meth:`scan_columns`)."""
-        state = self._state(dataset)
-        count = state.index.num_objects
-        for start in range(0, count, batch_size):
-            self.io_checkpoint("scan-batch", dataset.name)
-            stop = min(start + batch_size, count)
-            positions = np.arange(start, stop, dtype=np.int64)
-            buffers = ScanBuffers(count=stop - start, oids=positions)
-            for path in paths:
-                buffers.columns[tuple(path)] = self._extract_column(
-                    dataset, state, tuple(path), positions=positions
-                )
-            yield buffers
-
     def scan_row_count(self, dataset: Dataset) -> int:
         return self._state(dataset).index.num_objects
 
-    def scan_batch_ranges(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        start: int,
-        stop: int,
-        batch_size: int = 4096,
-    ):
-        """Range-partitioned scan for morsel-driven parallel execution: the
-        structural index addresses any object range directly, so disjoint
-        ranges extract concurrently without shared state."""
+    def _read(
+        self, dataset: Dataset, paths: Sequence[FieldPath], rows: Rows
+    ) -> dict[FieldPath, np.ndarray]:
+        """Extract each requested column for ``rows`` through the structural
+        index (missing numeric fields surface as NaN)."""
         state = self._state(dataset)
-        stop = min(stop, state.index.num_objects)
-        for begin in range(start, stop, batch_size):
-            self.io_checkpoint("scan-range", dataset.name)
-            end = min(begin + batch_size, stop)
-            positions = np.arange(begin, end, dtype=np.int64)
-            buffers = ScanBuffers(count=end - begin, oids=positions)
-            for path in paths:
-                buffers.columns[tuple(path)] = self._extract_column(
-                    dataset, state, tuple(path), positions=positions
-                )
-            yield buffers
-
-    def scan_columns_at(
-        self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray
-    ) -> ScanBuffers:
-        """Selective (lazy) extraction: convert fields only for the given objects."""
-        state = self._state(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        rows = np.asarray(oids, dtype=np.int64)
-        buffers = ScanBuffers(count=len(rows), oids=rows)
-        for path in paths:
-            buffers.columns[tuple(path)] = self._extract_column(
-                dataset, state, tuple(path), positions=rows
-            )
-        return buffers
+        return {path: self._extract_column(dataset, state, path, rows) for path in paths}
 
     def _extract_column(
-        self,
-        dataset: Dataset,
-        state: _JsonState,
-        path: FieldPath,
-        positions: np.ndarray | None = None,
+        self, dataset: Dataset, state: _JsonState, path: FieldPath, rows: Rows
     ) -> np.ndarray:
         key = ".".join(path)
         data = state.data
         index = state.index
         dtype_name = self._field_type_name(dataset, path)
-        objects: list[int] = (
-            list(range(index.num_objects))
-            if positions is None
-            else [int(p) for p in positions]
-        )
         if dtype_name in ("int", "float", "date"):
-            column = self._extract_numeric_column(state, key, dtype_name, objects)
+            column = self._extract_numeric_column(state, key, dtype_name, rows)
             if column is not None:
                 return column
         values: list[Any] = []
-        for position in objects:
+        for position in row_positions(rows):
             span = index.field_span(position, key)
             if span is None:
                 values.append(None)
@@ -261,7 +164,7 @@ class JsonPlugin(InputPlugin):
 
     @staticmethod
     def _extract_numeric_column(
-        state: _JsonState, key: str, dtype_name: str, objects: list[int]
+        state: _JsonState, key: str, dtype_name: str, rows: Rows
     ) -> np.ndarray | None:
         """Fast path for numeric fields: slice the value spans and convert them
         in bulk (the Python analogue of the generated conversion code).
@@ -270,7 +173,7 @@ class JsonPlugin(InputPlugin):
         index = state.index
         slices: list[bytes] = []
         missing = False
-        vectorized = index.column_spans(key, objects if objects is not None else None)
+        vectorized = index.column_spans(key, row_selector(rows))
         if vectorized is not None:
             starts, ends, types = vectorized
             if not np.all((types == TYPE_NUMBER) | (types == TYPE_NULL) | (starts < 0)):
@@ -285,7 +188,7 @@ class JsonPlugin(InputPlugin):
                 else:
                     slices.append(data[start:end])
         else:
-            for position in objects:
+            for position in row_positions(rows):
                 span = index.field_span(position, key)
                 if span is None:
                     slices.append(b"nan")
@@ -402,53 +305,6 @@ class JsonPlugin(InputPlugin):
             )
         return batch
 
-    #: Parents flattened per ``scan_unnest_batch`` call when ``scan_unnest``
-    #: covers a whole dataset: bounds peak memory (joined spans + parsed
-    #: element dicts are alive per chunk only, like the batch tiers' 4096-
-    #: parent batches) while keeping the per-call overhead amortized.
-    _UNNEST_CHUNK_PARENTS = 65536
-
-    def scan_unnest(
-        self,
-        dataset: Dataset,
-        collection_path: FieldPath,
-        element_paths: Sequence[FieldPath],
-        parent_oids: np.ndarray | None = None,
-    ) -> UnnestBuffers:
-        if parent_oids is None:
-            count = self._state(dataset).index.num_objects
-            parent_oids = np.arange(count, dtype=np.int64)
-        element_paths = [tuple(path) for path in element_paths]
-        chunks = [
-            self.scan_unnest_batch(
-                dataset,
-                collection_path,
-                element_paths,
-                parent_oids[start : start + self._UNNEST_CHUNK_PARENTS],
-            )
-            for start in range(0, len(parent_oids), self._UNNEST_CHUNK_PARENTS)
-        ] or [
-            self.scan_unnest_batch(
-                dataset, collection_path, element_paths, parent_oids
-            )
-        ]
-        positions = [chunk.parent_positions() for chunk in chunks]
-        for index, offset in enumerate(
-            range(0, len(parent_oids), self._UNNEST_CHUNK_PARENTS)
-        ):
-            positions[index] += offset
-        buffers = UnnestBuffers(
-            count=sum(chunk.count for chunk in chunks),
-            parent_positions=(
-                np.concatenate(positions) if positions else np.zeros(0, np.int64)
-            ),
-        )
-        for path in element_paths:
-            buffers.columns[path] = _concat_columns(
-                [chunk.column(path) for chunk in chunks]
-            )
-        return buffers
-
     # -- tuple-at-a-time access -------------------------------------------------------
 
     def iterate_rows(
@@ -543,23 +399,6 @@ class JsonPlugin(InputPlugin):
 # ---------------------------------------------------------------------------
 # Span conversion helpers
 # ---------------------------------------------------------------------------
-
-
-def _concat_columns(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-chunk column buffers.  A chunk-local missing value may
-    have demoted one chunk to an object (or NaN-float) buffer; concatenation
-    must then widen the whole column exactly as a single-shot conversion
-    would, so an explicit object merge avoids NumPy promoting to strings."""
-    if len(parts) == 1:
-        return parts[0]
-    if any(part.dtype == object for part in parts):
-        merged = np.empty(sum(len(part) for part in parts), dtype=object)
-        position = 0
-        for part in parts:
-            merged[position : position + len(part)] = part
-            position += len(part)
-        return merged
-    return np.concatenate(parts)
 
 
 def _extract_element_values(flat: list, path: FieldPath) -> list:

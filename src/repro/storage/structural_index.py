@@ -373,7 +373,7 @@ class JsonStructuralIndex:
         return result
 
     def column_spans(
-        self, path: str, positions: "np.ndarray | list[int] | None" = None
+        self, path: str, positions: "np.ndarray | list[int] | slice | None" = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Vectorized span lookup for one field across many objects.
 
@@ -381,7 +381,7 @@ class JsonStructuralIndex:
         dropped and the per-object spans live in dense arrays); returns
         ``(starts, ends, type_codes)`` with ``start == -1`` marking missing
         fields, or ``None`` when the index is not fixed-schema or the path is
-        unknown.
+        unknown.  A ``slice`` of positions returns views, no gather.
         """
         if not self.fixed_schema:
             return None
@@ -394,7 +394,8 @@ class JsonStructuralIndex:
             ends = self.spans[:, slot, 1]
             types = self.types[:, slot]
         else:
-            positions = np.asarray(positions, dtype=np.int64)
+            if not isinstance(positions, slice):
+                positions = np.asarray(positions, dtype=np.int64)
             starts = self.spans[positions, slot, 0]
             ends = self.spans[positions, slot, 1]
             types = self.types[positions, slot]

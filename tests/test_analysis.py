@@ -177,26 +177,26 @@ def test_verdict_codes_for_declines(paths):
     assert declines["vectorized"] == "[TIER001] disabled (enable_vectorized=False)"
 
 
-def test_unsplittable_scan_and_single_morsel_codes(paths):
-    """Neither an unsplittable scan nor a single-morsel input is a decline:
-    no code beyond the disabled codegen tier, and the vectorized tier serves
-    both in the calling thread."""
-    # Binary row tables cannot be range-split.
-    unsplittable = make_engine(
+def test_binary_row_fan_out_and_single_morsel_codes(paths):
+    """Neither a fanned-out binary row scan nor a single-morsel input is a
+    decline: no code beyond the disabled codegen tier, and the vectorized
+    tier serves both — over morsels and in the calling thread."""
+    # 16-row batches split the 120-row table into several morsels.
+    fanned = make_engine(
         paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
     )
     # Default batch size over 120 rows fits one morsel.
     single = make_engine(paths, enable_codegen=False, parallel_workers=2)
-    for engine, query in (
-        (unsplittable, "SELECT id FROM items_rowbin WHERE qty > 1"),
-        (single, "SELECT id FROM items_csv WHERE qty > 1"),
+    for engine, query, fans_out in (
+        (fanned, "SELECT id FROM items_rowbin WHERE qty > 1", True),
+        (single, "SELECT id FROM items_csv WHERE qty > 1", False),
     ):
         analysis = engine.prepare(query).analysis
         assert list(analysis.decline_reasons()) == ["codegen"], query
         assert analysis.predicted_tier == "vectorized", query
         result = engine.query(query)
         assert result.tier == "vectorized", query
-        assert result.profile.morsels_dispatched == 0, query
+        assert (result.profile.morsels_dispatched > 1) == fans_out, query
 
 
 def test_outer_join_declines_all_batch_tiers(paths):

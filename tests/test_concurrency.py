@@ -489,6 +489,31 @@ def test_concurrent_prepare_and_catalog_churn(paths, debug_locks):
     assert_lock_order_acyclic()
 
 
+def test_racing_scans_of_two_dataset_versions_read_their_own_file(tmp_path, debug_locks):
+    """Plug-in state is bound to the registered ``Dataset`` object: scans of
+    a name's old and new version racing on one plug-in each read their own
+    file, however the shared state cache interleaves their builds."""
+    from repro import ProteusEngine
+
+    engine = ProteusEngine(enable_caching=False)
+    versions = []
+    for factor in (100, 200):
+        path = tmp_path / f"v{factor}.csv"
+        path.write_text("x\n" + "".join(f"{factor * i}\n" for i in range(10)))
+        engine.register_csv("t", str(path))
+        versions.append((engine.catalog.get("t"), 45 * factor))
+    plugin = engine.plugins["csv"]
+
+    def task(i: int) -> bool:
+        dataset, expected = versions[i % 2]
+        return int(plugin.scan_columns(dataset, [("x",)]).column(("x",)).sum()) == expected
+
+    with switch_interval():
+        results = run_concurrently(task, 16)
+    assert all(results)
+    assert_lock_order_acyclic()
+
+
 @pytest.mark.parametrize("threads", [2, 8])
 def test_concurrent_metrics_scrape_during_queries(paths, threads, debug_locks):
     engine = make_engine(paths)

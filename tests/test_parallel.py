@@ -8,13 +8,14 @@ Covers:
   worker counts 1 / 2 / 8,
 * determinism: repeated parallel runs return identical row orderings, and
   integer results are bit-identical to a serial run,
-* no fan-out for unsplittable scans and single-morsel inputs (served in the
-  calling thread), and the Volcano fallback for non-vectorizable shapes,
+* fan-out for every format (binary row tables included) and no fan-out for
+  single-morsel inputs (served in the calling thread), and the Volcano
+  fallback for non-vectorizable shapes,
 * the vectorized tier's use of the adaptive cache (hits and
   materializations),
 * unit coverage of morsel planning, the work-stealing scheduler, the
-  partition-parallel radix-table build and the plug-in
-  ``scan_batch_ranges`` API.
+  partition-parallel radix-table build and the plug-in scan contract
+  (full scan, row ranges and OID gathers agree on every plug-in).
 """
 
 from __future__ import annotations
@@ -319,14 +320,27 @@ def test_parallel_tier_attribution_and_profile(parallel_engine):
     assert profile.batches_processed >= profile.morsels_dispatched
 
 
-def test_unsplittable_scan_falls_back_to_serial_vectorized(parallel_engine):
-    # The binary row plug-in only has the per-tuple batch shim, so its scans
-    # never fan out: they run in the calling thread.
-    result = parallel_engine.query("SELECT COUNT(*) FROM rowtable WHERE rid < 50")
-    assert result.tier == "vectorized"
-    assert result.profile.morsels_dispatched == 0
-    assert result.profile.parallel_workers == 0
-    assert result.rows == [(50,)]
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT COUNT(*) FROM rowtable WHERE rid < 50",
+        "SELECT rid FROM rowtable WHERE rid > 20 ORDER BY rid DESC",
+        "SELECT rid, COUNT(*) FROM rowtable GROUP BY rid",
+    ],
+)
+def test_binary_row_scans_fan_out_and_match_one_worker(workload_dir, volcano_engine, query):
+    """Binary row tables serve row ranges like every other format: at 8
+    workers the scan fans out over morsels and returns the rows of 1."""
+    rows = {}
+    for workers in (1, 8):
+        engine = _make_engine(workload_dir, parallel_workers=workers)
+        result = engine.query(query)
+        assert result.tier == "vectorized", (query, workers)
+        if workers > 1:
+            assert result.profile.morsels_dispatched > 1, query
+        rows[workers] = result.rows
+    assert rows[8] == rows[1], query
+    assert sorted(rows[1]) == sorted(volcano_engine.query(query).rows), query
 
 
 def test_single_morsel_input_falls_back_to_serial(workload_dir):
@@ -354,16 +368,16 @@ SERIAL_PROFILE_FIELDS = (
 @pytest.mark.parametrize(
     "query,batch_size",
     [
-        ("SELECT rid FROM rowtable WHERE rid > 20 ORDER BY rid DESC", BATCH_SIZE),
-        ("SELECT rid, COUNT(*) FROM rowtable GROUP BY rid", BATCH_SIZE),
+        ("SELECT rid FROM rowtable WHERE rid > 20 ORDER BY rid DESC", 4096),
+        ("SELECT rid, COUNT(*) FROM rowtable GROUP BY rid", 4096),
         ("SELECT sid, age FROM sailors ORDER BY age LIMIT 9", 4096),
         ("SELECT rating, AVG(age) FROM sailors GROUP BY rating", 4096),
         ("SELECT COUNT(*), SUM(age) FROM sailors", 4096),
     ],
 )
 def test_inputs_that_do_not_fan_out_match_one_worker(workload_dir, query, batch_size):
-    """An unsplittable scan and a single-morsel input at 8 workers run the
-    serial path: same rows and the same profile counters as 1 worker."""
+    """A single-morsel input at 8 workers runs the serial path: same rows
+    and the same profile counters as 1 worker."""
     profiles = {}
     rows = {}
     for workers in (1, 8):
@@ -521,8 +535,42 @@ def test_partition_parallel_table_build_matches_serial(workload_dir):
 
 
 # ---------------------------------------------------------------------------
-# scan_batch_ranges plug-in API
+# The plug-in scan contract
 # ---------------------------------------------------------------------------
+
+
+def _contract_plugin(engine, dataset, paths_requested):
+    """(plug-in, dataset) under test; ``"cache"`` serves the sailors fields
+    from a cache plug-in filled with their raw-scan columns."""
+    if dataset != "cache":
+        registered = engine.catalog.get(dataset)
+        return engine.plugins[registered.format], registered
+    from repro.caching.manager import CacheManager
+    from repro.caching.matching import field_cache_key
+    from repro.plugins import CachePlugin
+
+    registered = engine.catalog.get("sailors")
+    source = engine.plugins[registered.format]
+    full = source.scan_columns(registered, paths_requested)
+    manager = CacheManager(engine.memory.arena)
+    for path in paths_requested:
+        manager.store(
+            field_cache_key("sailors", path),
+            full.column(path),
+            kind="field",
+            dataset="sailors",
+            source_format=registered.format,
+        )
+    return CachePlugin(engine.memory, manager), registered
+
+
+def _assert_same_cells(actual, expected, label):
+    assert len(actual) == len(expected), label
+    for a, b in zip(actual, expected):
+        if isinstance(a, float) and isinstance(b, float) and \
+                math.isnan(a) and math.isnan(b):
+            continue
+        assert a == b, label
 
 
 @pytest.mark.parametrize(
@@ -531,17 +579,20 @@ def test_partition_parallel_table_build_matches_serial(workload_dir):
         ("sailors", [("sid",), ("age",), ("sname",)]),
         ("nulls", [("id",), ("val",)]),
         ("ships", [("shid",), ("tons",)]),
+        ("rowtable", [("rid",)]),
+        ("cache", [("sid",), ("age",), ("sname",)]),
     ],
 )
 def test_scan_batch_ranges_matches_scan_batches(
     parallel_engine, dataset, paths_requested
 ):
-    registered = parallel_engine.catalog.get(dataset)
-    plugin = parallel_engine.plugins[registered.format]
-    assert plugin.supports_scan_ranges
+    """Every plug-in derives its scans from one read: a full scan, two
+    abutting row ranges and an OID gather agree cell for cell."""
+    plugin, registered = _contract_plugin(parallel_engine, dataset, paths_requested)
     total = plugin.scan_row_count(registered)
-    assert total is not None and total > 0
+    assert total > 0
     full = plugin.scan_columns(registered, paths_requested)
+    assert full.count == total
     mid = total // 2
     pieces = list(
         plugin.scan_batch_ranges(registered, paths_requested, 0, mid, batch_size=17)
@@ -551,15 +602,14 @@ def test_scan_batch_ranges_matches_scan_batches(
     assert sum(piece.count for piece in pieces) == total
     oids = np.concatenate([piece.oids for piece in pieces])
     assert oids.tolist() == list(range(total))
+    gather = np.asarray([total - 1, 0, mid, mid, 3], dtype=np.int64)
+    picked = plugin.scan_columns_at(registered, paths_requested, gather)
+    assert picked.oids.tolist() == gather.tolist()
     for path in paths_requested:
-        merged = np.concatenate([piece.column(tuple(path)) for piece in pieces])
         reference = full.column(tuple(path))
-        assert len(merged) == len(reference), path
-        for a, b in zip(merged, reference):
-            if isinstance(a, float) and isinstance(b, float) and \
-                    math.isnan(a) and math.isnan(b):
-                continue
-            assert a == b, path
+        merged = np.concatenate([piece.column(tuple(path)) for piece in pieces])
+        _assert_same_cells(merged, reference, path)
+        _assert_same_cells(picked.column(tuple(path)), reference[gather], path)
 
 
 def test_scan_batch_ranges_clamps_to_row_count(parallel_engine):
@@ -571,14 +621,3 @@ def test_scan_batch_ranges_clamps_to_row_count(parallel_engine):
         )
     )
     assert sum(piece.count for piece in pieces) == 5
-
-
-def test_unsplittable_plugin_reports_no_ranges(parallel_engine):
-    registered = parallel_engine.catalog.get("rowtable")
-    plugin = parallel_engine.plugins[registered.format]
-    assert not plugin.supports_scan_ranges
-    assert plugin.scan_row_count(registered) is None
-    from repro.errors import PluginError
-
-    with pytest.raises(PluginError, match="range"):
-        list(plugin.scan_batch_ranges(registered, [("rid",)], 0, 10))

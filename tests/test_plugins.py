@@ -234,3 +234,107 @@ def test_positional_output_is_lazy():
     cache = output.materialize_cache(np.asarray([9.0, 8.0]), np.asarray([4, 5]), "lazy")
     assert cache.eagerness == "lazy"
     assert np.array_equal(cache.data, np.asarray([4, 5]))
+
+
+# -- one conversion rule, state bound to the registered Dataset -------------------------
+
+
+def _tier_engines():
+    """(label, engine) pairs covering the three tiers, the vectorized tier at
+    1/2/8 workers with morsels small enough to fan out."""
+    from repro import ProteusEngine
+
+    yield "codegen", ProteusEngine(enable_caching=False)
+    for workers in (1, 2, 8):
+        yield f"vectorized-{workers}", ProteusEngine(
+            enable_caching=False,
+            enable_codegen=False,
+            parallel_workers=workers,
+            vectorized_batch_size=32,
+        )
+    yield "volcano", ProteusEngine(
+        enable_caching=False, enable_codegen=False, enable_vectorized=False
+    )
+
+
+def test_csv_declared_int_with_fractional_text_truncates_on_every_tier(tmp_path):
+    """A column inferred as ``int`` from the first 100 rows that holds
+    ``3.5`` at row 150 converts by one rule everywhere: the bulk parse falls
+    back to the exact integer converter, which truncates like Volcano."""
+    path = tmp_path / "frac.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("id,v\n")
+        for i in range(300):
+            handle.write(f"{i},{3.5 if i == 150 else i}\n")
+    for label, engine in _tier_engines():
+        engine.register_csv("t", str(path))
+        tier = label.split("-")[0]
+        total = engine.query("SELECT SUM(v) FROM t")
+        assert total.tier == tier, label
+        assert total.rows == [(44703,)], label
+        if engine.parallel_workers > 1:
+            assert total.profile.morsels_dispatched > 1, label
+        point = engine.query("SELECT v FROM t WHERE id = 150")
+        assert point.tier == tier, label
+        assert point.rows == [(3,)], label
+
+
+def _write_version(directory, fmt: str, factor: int) -> str:
+    """Ten rows ``x = factor * i`` in ``fmt``; returns the registration path."""
+    import json
+
+    from repro.storage.binary_format import write_column_table, write_row_table
+
+    values = np.arange(10, dtype=np.int64) * factor
+    schema = t.make_schema({"x": "int"})
+    base = str(directory / f"v{factor}")
+    if fmt == DataFormat.CSV:
+        with open(base + ".csv", "w", encoding="utf-8") as handle:
+            handle.write("x\n" + "".join(f"{v}\n" for v in values))
+        return base + ".csv"
+    if fmt == DataFormat.JSON:
+        with open(base + ".json", "w", encoding="utf-8") as handle:
+            handle.write("".join(json.dumps({"x": int(v)}) + "\n" for v in values))
+        return base + ".json"
+    if fmt == DataFormat.BINARY_COLUMN:
+        write_column_table(base, {"x": values}, schema)
+        return base
+    write_row_table(base + ".bin", {"x": values}, schema)
+    return base + ".bin"
+
+
+@pytest.mark.parametrize(
+    "fmt",
+    [DataFormat.CSV, DataFormat.JSON, DataFormat.BINARY_COLUMN, DataFormat.BINARY_ROW],
+)
+def test_reregistration_ignores_state_built_for_the_old_dataset(tmp_path, fmt, monkeypatch):
+    """An in-flight scan of the old ``Dataset`` that lands between the
+    re-registration's ``invalidate`` and its first scan rebuilds plug-in
+    state from the old file; the new registration must not reuse it."""
+    from repro import ProteusEngine
+
+    register = {
+        DataFormat.CSV: "register_csv",
+        DataFormat.JSON: "register_json",
+        DataFormat.BINARY_COLUMN: "register_binary_columns",
+        DataFormat.BINARY_ROW: "register_binary_rows",
+    }[fmt]
+    engine = ProteusEngine(enable_caching=False)
+    getattr(engine, register)("t", _write_version(tmp_path, fmt, 100))
+    assert engine.query("SELECT SUM(x) FROM t").rows == [(4500,)]
+
+    plugin = engine.plugins[fmt]
+    old = engine.catalog.get("t")
+    infer_schema = plugin.infer_schema
+
+    def racing_infer_schema(dataset):
+        plugin.scan_columns(old, [("x",)])
+        return infer_schema(dataset)
+
+    monkeypatch.setattr(plugin, "infer_schema", racing_infer_schema)
+    getattr(engine, register)("t", _write_version(tmp_path, fmt, 200))
+    monkeypatch.undo()
+    for codegen, vectorized in ((True, True), (False, True), (False, False)):
+        engine.enable_codegen = codegen
+        engine.enable_vectorized = vectorized
+        assert engine.query("SELECT SUM(x) FROM t").rows == [(9000,)], (codegen, vectorized)

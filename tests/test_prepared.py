@@ -369,15 +369,20 @@ def test_explain_cascade_for_volcano_only_shape(engine):
     assert "volcano: serves this plan  <- selected" in text
 
 
-def test_explain_cascade_reports_unsplittable_parallel_scan(paths):
+def test_explain_cascade_reports_binary_row_parallel_scan(paths):
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=4, enable_caching=False
+        paths,
+        enable_codegen=False,
+        parallel_workers=4,
+        enable_caching=False,
+        vectorized_batch_size=16,
     )
     text = engine.explain("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
     assert "vectorized: serves this plan  <- selected" in text
     assert "vectorized runs with parallel_workers=4" in text
     assert "vectorized-parallel" not in text
-    # The unsplittable scan runs in the calling thread.
+    # The binary row scan fans out like every other format's.
     result = engine.query("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
     assert result.tier == "vectorized"
-    assert result.profile.morsels_dispatched == 0
+    assert result.profile.morsels_dispatched > 1
+    assert result.rows == [(60,)]

@@ -7,8 +7,8 @@ Covers:
   result assembly),
 * a differential suite asserting the codegen, vectorized and Volcano tiers
   return identical rows on the Sailors/Ships and JSON workloads,
-* unit coverage of the plug-in ``scan_batches`` API (native fast paths and
-  the per-tuple shim).
+* unit coverage of batched plug-in scans (``scan_batch_ranges`` over a
+  whole dataset, every format).
 """
 
 from __future__ import annotations
@@ -654,7 +654,7 @@ def test_codegen_unavailable_shapes_use_vectorized_not_volcano(tier_engines):
 
 
 # ---------------------------------------------------------------------------
-# scan_batches plug-in API
+# Batched scans: scan_batch_ranges over a whole dataset (the serial path)
 # ---------------------------------------------------------------------------
 
 
@@ -664,7 +664,7 @@ def test_codegen_unavailable_shapes_use_vectorized_not_volcano(tier_engines):
         ("items_csv", [("id",), ("price",), ("category",)]),
         ("items_json", [("id",), ("qty",)]),
         ("items_bin", [("id",), ("category",)]),
-        ("items_rowbin", [("id",), ("qty",)]),  # exercises the per-tuple shim
+        ("items_rowbin", [("id",), ("qty",)]),
         ("orders", [("okey",), ("origin", "country")]),
     ],
 )
@@ -672,7 +672,11 @@ def test_scan_batches_matches_scan_columns(engine, dataset, paths_requested):
     registered = engine.catalog.get(dataset)
     plugin = engine.plugins[registered.format]
     full = plugin.scan_columns(registered, paths_requested)
-    batches = list(plugin.scan_batches(registered, paths_requested, batch_size=32))
+    batches = list(
+        plugin.scan_batch_ranges(
+            registered, paths_requested, 0, full.count, batch_size=32
+        )
+    )
     assert sum(batch.count for batch in batches) == full.count
     oids = np.concatenate([batch.oids for batch in batches])
     assert oids.tolist() == list(range(full.count))
@@ -684,5 +688,6 @@ def test_scan_batches_matches_scan_columns(engine, dataset, paths_requested):
 def test_scan_batches_respects_batch_size(engine):
     registered = engine.catalog.get("items_bin")
     plugin = engine.plugins[registered.format]
-    batches = list(plugin.scan_batches(registered, [("id",)], batch_size=50))
+    total = plugin.scan_row_count(registered)
+    batches = list(plugin.scan_batch_ranges(registered, [("id",)], 0, total, batch_size=50))
     assert [batch.count for batch in batches] == [50, 50, 20]
